@@ -5,10 +5,10 @@
 //! of every store. Concurrent producers hit a 3-broker replicated
 //! cluster two ways:
 //!
-//! * **legacy** — `ReplicatedCluster::produce`: every producer takes the
+//! * **legacy** — `KafkaCluster::produce`: every producer takes the
 //!   partition log lock itself, one append + one flush check + one
 //!   wakeup per request (the Leader-ack contract).
-//! * **grouped** — `ReplicatedCluster::produce_with_ack`: producers
+//! * **grouped** — `KafkaCluster::produce_with_ack`: producers
 //!   enqueue pre-encoded frame groups into the partition's
 //!   [`GroupQueue`]; one drainer commits every pending group with a
 //!   single log-lock acquisition (`append_frames_multi`), and for
@@ -29,7 +29,7 @@ use li_commons::metrics::MetricsRegistry;
 use li_commons::shard::ShardMode;
 use li_commons::sim::RealClock;
 use li_kafka::log::LogConfig;
-use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
+use li_kafka::{AckMode, KafkaCluster, MessageSet};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,7 +64,7 @@ fn ack_label(ack: AckMode) -> &'static str {
     }
 }
 
-fn fresh_cluster(partitions: u32) -> Arc<ReplicatedCluster> {
+fn fresh_cluster(partitions: u32) -> Arc<KafkaCluster> {
     let config = LogConfig {
         // Flush-per-request durability with a modeled stable-storage
         // latency: this is the regime group commit exists for. Legacy
@@ -77,7 +77,7 @@ fn fresh_cluster(partitions: u32) -> Arc<ReplicatedCluster> {
         flush_latency: FLUSH_LATENCY,
         ..LogConfig::default()
     };
-    let cluster = KafkaCluster::with_shard_mode(
+    let rc = KafkaCluster::with_shard_mode(
         3,
         config,
         Arc::new(RealClock::new()),
@@ -85,8 +85,7 @@ fn fresh_cluster(partitions: u32) -> Arc<ReplicatedCluster> {
         ShardMode::Parallel,
     )
     .unwrap();
-    let rc = Arc::new(ReplicatedCluster::new(cluster));
-    rc.create_topic("ingest", partitions, 3).unwrap();
+    rc.create_replicated_topic("ingest", partitions, 3).unwrap();
     rc
 }
 

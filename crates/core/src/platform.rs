@@ -2,7 +2,7 @@
 //! activity events → Kafka → online consumers + offline warehouse.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use li_commons::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -556,12 +556,23 @@ impl DataPlatform {
         self.warehouse.rows().len()
     }
 
-    /// One pump of every asynchronous pipeline stage: Databus subscribers
-    /// catch up, the bootstrap server follows the relay, producers flush,
-    /// the mirror copies, and the warehouse loader ticks. Production runs
+    /// One pump of every asynchronous pipeline stage: the audited producer
+    /// publishes its audit counts and flushes, then [`Self::pump_streams`]
+    /// runs the bootstrap server, the Databus subscribers, Espresso
+    /// replication, the mirror and the warehouse loader. Production runs
     /// these continuously; examples and tests call it at interesting
     /// moments (determinism over threads).
     pub fn pump(&self) -> Result<(), PlatformError> {
+        self.event_producer.publish_audit_and_flush().map_err(wrap)?;
+        self.pump_streams()
+    }
+
+    /// [`Self::pump`] without the audit flush: only the data-tier streams
+    /// (Databus subscribers, bootstrap, Espresso replication, mirror,
+    /// warehouse). The closed-loop benchmark's background pump thread uses
+    /// this — the audit producer buckets by wall-clock window, which would
+    /// make a seeded run's metrics timing-dependent.
+    pub fn pump_streams(&self) -> Result<(), PlatformError> {
         // Bootstrap first: it is the fallen-behind escape hatch for every
         // subscriber, and it reads the relay directly (no drive lock). If
         // it ran after the subscriber catch-ups, a subscriber evicted off
@@ -573,43 +584,8 @@ impl DataPlatform {
         self.follow_cacher.catch_up().map_err(wrap)?;
         self.search_client.catch_up().map_err(wrap)?;
         self.espresso.pump_replication().map_err(wrap)?;
-        self.event_producer.publish_audit_and_flush().map_err(wrap)?;
         self.mirror.pump().map_err(wrap)?;
         self.warehouse.tick().map_err(wrap)?;
-        Ok(())
-    }
-
-    /// [`Self::pump`] without the audit flush: only the data-tier streams
-    /// (Databus subscribers, bootstrap, Espresso replication, mirror,
-    /// warehouse). The closed-loop benchmark's background pump thread uses
-    /// this — the audit producer buckets by wall-clock window, which would
-    /// make a seeded run's metrics timing-dependent.
-    pub fn pump_streams(&self) -> Result<(), PlatformError> {
-        let trace = std::env::var_os("LI_PUMP_TRACE").is_some();
-        let mut stage_start = Instant::now();
-        let mut stage = |name: &str| {
-            let took = stage_start.elapsed();
-            stage_start = Instant::now();
-            if trace && took > Duration::from_secs(1) {
-                eprintln!("[pump] {name} took {took:.2?}");
-            }
-        };
-        // Bootstrap first — see [`Self::pump`] for why this ordering is
-        // load-bearing (fallen-behind livelock under relay eviction).
-        self.bootstrap.catch_up_from(&self.relay).map_err(wrap)?;
-        stage("bootstrap.catch_up_from");
-        self.bootstrap.apply_log();
-        stage("bootstrap.apply_log");
-        self.follow_cacher.catch_up().map_err(wrap)?;
-        stage("follow_cacher.catch_up");
-        self.search_client.catch_up().map_err(wrap)?;
-        stage("search_client.catch_up");
-        self.espresso.pump_replication().map_err(wrap)?;
-        stage("espresso.pump_replication");
-        self.mirror.pump().map_err(wrap)?;
-        stage("mirror.pump");
-        self.warehouse.tick().map_err(wrap)?;
-        stage("warehouse.tick");
         Ok(())
     }
 

@@ -257,7 +257,7 @@ mod tests {
         assert!(msg.contains("1 driver(s) lost"), "unexpected panic: {msg}");
         // The surviving machines all ran to completion before the report.
         let quanta = log.lock().len() as u64;
-        let expected: u64 = (0..5).map(|id| (40 + id + 6) / 7).sum();
+        let expected: u64 = (0..5u64).map(|id| (40 + id).div_ceil(7)).sum();
         assert_eq!(quanta, expected, "survivors must finish despite the panic");
     }
 }

@@ -673,23 +673,11 @@ impl SiteBench {
             std::thread::Builder::new()
                 .name("site-pump".into())
                 .spawn(move || {
-                    let trace = std::env::var_os("LI_PUMP_TRACE").is_some();
                     let mut scn_watch = platform.relay.scn_watch();
                     let mut backoff = PUMP_MIN_BACKOFF;
-                    let mut iterations: u64 = 0;
-                    let mut last_report = Instant::now();
                     while !stop.load(Ordering::Acquire) {
-                        let pump_start = Instant::now();
                         if platform.pump_streams().is_err() {
                             errors.inc();
-                        }
-                        iterations += 1;
-                        if trace && last_report.elapsed() > Duration::from_secs(30) {
-                            eprintln!(
-                                "[pump] alive: {iterations} iterations, last {:.2?}",
-                                pump_start.elapsed()
-                            );
-                            last_report = Instant::now();
                         }
                         if scn_watch.wait_newer(backoff).is_some() {
                             backoff = PUMP_MIN_BACKOFF;

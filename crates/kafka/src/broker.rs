@@ -7,6 +7,11 @@
 //! each [`PartitionLog`] has its own interior locking — so the
 //! deterministic twin ([`ShardMode::Deterministic`], one stripe) exists
 //! only to keep lock behavior replayable under the chaos harness.
+//!
+//! A broker knows nothing of replication or group commit: the cluster
+//! ([`crate::KafkaCluster`]) owns each partition's replicas and ingest
+//! queue, and calls [`Broker::append_groups_local`] on the current leader
+//! to commit a drained batch.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +20,7 @@ use li_commons::metrics::{Counter, Gauge, Histo, MetricsRegistry};
 use li_commons::shard::{ShardMode, ShardedLock};
 use li_commons::sim::Clock;
 
-use crate::ingest::{AckMode, GroupFrames, GroupQueue, IngestSink, ProduceReceipt};
+use crate::ingest::GroupFrames;
 use crate::log::{LogConfig, PartitionLog};
 use crate::message::{FetchChunk, KafkaError, Message, MessageSet};
 
@@ -52,16 +57,11 @@ impl BrokerMetrics {
     }
 }
 
-/// One hosted topic-partition: its log, its group-commit append queue,
-/// and the pre-resolved `log_end` gauge, so the produce hot path does a
-/// single index lookup.
+/// One hosted topic-partition: its log and the pre-resolved `log_end`
+/// gauge, so the produce hot path does a single index lookup.
 #[derive(Clone)]
 struct PartitionEntry {
     log: Arc<PartitionLog>,
-    /// The partition's group-commit queue. Survives
-    /// [`Broker::reset_partition`] — the queue holds producer-side state,
-    /// the reset replaces broker-side log state.
-    queue: Arc<GroupQueue>,
     log_end: Gauge,
 }
 
@@ -75,7 +75,6 @@ pub struct Broker {
     logs: ShardedLock<HashMap<(String, u32), PartitionEntry>>,
     registry: Arc<MetricsRegistry>,
     metrics: BrokerMetrics,
-    mode: ShardMode,
 }
 
 impl std::fmt::Debug for Broker {
@@ -122,13 +121,7 @@ impl Broker {
             logs: ShardedLock::with_mode(mode, INDEX_STRIPES, HashMap::new),
             registry: Arc::clone(registry),
             metrics: BrokerMetrics::new(registry, id),
-            mode,
         }
-    }
-
-    /// The shard mode this broker (index striping + ingest queues) runs in.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.mode
     }
 
     /// Resolves a topic-partition to its entry via one stripe lock.
@@ -152,7 +145,6 @@ impl Broker {
             .entry((topic.to_string(), partition))
             .or_insert_with(|| PartitionEntry {
                 log: Arc::new(PartitionLog::new(self.config.clone(), self.clock.clone())),
-                queue: Arc::new(GroupQueue::new(self.mode, self.config.ingest_queue_bytes)),
                 log_end: self
                     .registry
                     .gauge(&format!("kafka.topic.{topic}.{partition}.log_end")),
@@ -216,39 +208,11 @@ impl Broker {
         Ok(first)
     }
 
-    /// Group-commit produce: enqueues an already-encoded frame group into
-    /// the partition's append queue and drives the drainer protocol — `N`
-    /// concurrent producers on one partition cost one log-lock
-    /// acquisition, one flush check, and one consumer wakeup per drained
-    /// *batch*, not per producer (see [`crate::ingest`]). Blocks per
-    /// `ack`; a standalone broker has no followers, so
-    /// [`AckMode::FullIsr`] degenerates to [`AckMode::Leader`] here (the
-    /// replicated contract lives in
-    /// `ReplicatedCluster::produce_with_ack`).
-    pub fn produce_frames_grouped(
-        &self,
-        topic: &str,
-        partition: u32,
-        frames: Vec<u8>,
-        messages: u64,
-        payload_bytes: usize,
-        ack: AckMode,
-    ) -> Result<ProduceReceipt, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let sink = BrokerSink {
-            metrics: &self.metrics,
-            entry: &entry,
-        };
-        entry
-            .queue
-            .produce(&sink, frames, messages, payload_bytes as u64, ack)
-    }
-
     /// Appends a drained batch of frame groups to the hosted partition
-    /// log under **one** lock acquisition, updating produce metrics — the
-    /// sink primitive shared by this broker's own group-commit queue and
-    /// the replicated cluster's leader append. Returns the base offset of
-    /// the batch's first buffer.
+    /// log under **one** lock acquisition (`append_frames_multi`), then
+    /// updates produce metrics and the `log_end` gauge once — the
+    /// primitive the cluster's group-commit sink calls on the partition's
+    /// leader. Returns the base offset of the batch's first buffer.
     pub fn append_groups_local(
         &self,
         topic: &str,
@@ -256,30 +220,19 @@ impl Broker {
         groups: &[GroupFrames<'_>],
     ) -> Result<u64, KafkaError> {
         let entry = self.entry(topic, partition)?;
-        let sink = BrokerSink {
-            metrics: &self.metrics,
-            entry: &entry,
-        };
-        sink.append_groups(groups)
-    }
-
-    /// Drains every partition's group-commit queue (flush-on-close: makes
-    /// sure no [`AckMode::None`] group is still waiting for a drainer).
-    /// The log-level flush policy is separate — see [`Broker::flush_all`].
-    pub fn flush_ingest(&self) {
-        let entries: Vec<PartitionEntry> = self
-            .logs
-            .lock_all()
-            .iter()
-            .flat_map(|stripe| stripe.values().cloned())
-            .collect();
-        for entry in &entries {
-            let sink = BrokerSink {
-                metrics: &self.metrics,
-                entry,
-            };
-            entry.queue.drain_with(&sink);
+        let buffers: Vec<&[u8]> = groups.iter().map(|g| g.frames).collect();
+        let base = entry.log.append_frames_multi(&buffers)?;
+        let (mut messages, mut payload_bytes) = (0u64, 0u64);
+        for group in groups {
+            messages += group.messages;
+            payload_bytes += group.payload_bytes;
         }
+        self.metrics.produce_messages.add(messages);
+        self.metrics.bytes_in.add(payload_bytes);
+        self.metrics.produce_groups.add(groups.len() as u64);
+        self.metrics.groups_per_commit.record(groups.len() as u64);
+        entry.log_end.set(entry.log.log_end() as i64);
+        Ok(base)
     }
 
     /// Pull fetch: raw stored messages from `offset`, bounded by
@@ -334,10 +287,6 @@ impl Broker {
                     (topic.to_string(), partition),
                     PartitionEntry {
                         log,
-                        queue: Arc::new(GroupQueue::new(
-                            self.mode,
-                            self.config.ingest_queue_bytes,
-                        )),
                         log_end: self
                             .registry
                             .gauge(&format!("kafka.topic.{topic}.{partition}.log_end")),
@@ -347,10 +296,9 @@ impl Broker {
         }
     }
 
-    /// Flushes every partition (time-policy tick / shutdown): first drains
-    /// the group-commit queues, then forces the log-level flush.
+    /// Forces the log-level flush of every partition (time-policy tick /
+    /// shutdown).
     pub fn flush_all(&self) {
-        self.flush_ingest();
         for stripe in self.logs.lock_all() {
             for entry in stripe.values() {
                 entry.log.flush();
@@ -378,33 +326,6 @@ impl Broker {
             .collect();
         keys.sort();
         keys
-    }
-}
-
-/// [`IngestSink`] over one broker-hosted partition: a drained batch lands
-/// via `PartitionLog::append_frames_multi` (one lock acquisition for the
-/// whole batch), then metrics and the `log_end` gauge update once.
-/// `ship` keeps the no-op default — a standalone broker has no replicas.
-struct BrokerSink<'a> {
-    metrics: &'a BrokerMetrics,
-    entry: &'a PartitionEntry,
-}
-
-impl IngestSink for BrokerSink<'_> {
-    fn append_groups(&self, groups: &[GroupFrames<'_>]) -> Result<u64, KafkaError> {
-        let buffers: Vec<&[u8]> = groups.iter().map(|g| g.frames).collect();
-        let base = self.entry.log.append_frames_multi(&buffers)?;
-        let (mut messages, mut payload_bytes) = (0u64, 0u64);
-        for group in groups {
-            messages += group.messages;
-            payload_bytes += group.payload_bytes;
-        }
-        self.metrics.produce_messages.add(messages);
-        self.metrics.bytes_in.add(payload_bytes);
-        self.metrics.produce_groups.add(groups.len() as u64);
-        self.metrics.groups_per_commit.record(groups.len() as u64);
-        self.entry.log_end.set(self.entry.log.log_end() as i64);
-        Ok(base)
     }
 }
 
@@ -459,54 +380,6 @@ mod tests {
         b.produce("t", 0, &MessageSet::from_payloads(["only in 0"])).unwrap();
         assert_eq!(b.fetch("t", 0, 0, usize::MAX).unwrap().0.len(), 1);
         assert!(b.fetch("t", 1, 0, usize::MAX).unwrap().0.is_empty());
-    }
-
-    #[test]
-    fn grouped_produce_matches_legacy_bytes_and_counts_groups() {
-        let legacy = broker();
-        let grouped = broker();
-        for b in [&legacy, &grouped] {
-            b.create_partition("t", 0);
-        }
-        for i in 0..10 {
-            let set = MessageSet::from_payloads([format!("m-{i}")]);
-            let frames = set.encode();
-            let payload = set.payload_bytes();
-            let offset = legacy
-                .produce_frames("t", 0, &frames, 1, payload)
-                .unwrap();
-            let receipt = grouped
-                .produce_frames_grouped("t", 0, frames, 1, payload, AckMode::Leader)
-                .unwrap();
-            assert_eq!(receipt.base_offset, Some(offset));
-        }
-        let (a, b) = (legacy.log("t", 0).unwrap(), grouped.log("t", 0).unwrap());
-        assert_eq!(a.log_end(), b.log_end());
-        assert_eq!(a.content_fingerprint(), b.content_fingerprint());
-    }
-
-    #[test]
-    fn grouped_produce_none_ack_lands_after_flush_ingest() {
-        let b = broker();
-        b.create_partition("t", 0);
-        let set = MessageSet::from_payloads(["fire"]);
-        let receipt = b
-            .produce_frames_grouped("t", 0, set.encode(), 1, set.payload_bytes(), AckMode::None)
-            .unwrap();
-        assert_eq!(receipt.base_offset, None);
-        b.flush_ingest();
-        assert_eq!(b.fetch("t", 0, 0, usize::MAX).unwrap().0.len(), 1);
-    }
-
-    #[test]
-    fn full_isr_on_standalone_broker_degenerates_to_leader() {
-        let b = broker();
-        b.create_partition("t", 0);
-        let set = MessageSet::from_payloads(["x"]);
-        let receipt = b
-            .produce_frames_grouped("t", 0, set.encode(), 1, set.payload_bytes(), AckMode::FullIsr)
-            .unwrap();
-        assert_eq!(receipt.base_offset, Some(0));
     }
 
     #[test]

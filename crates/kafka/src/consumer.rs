@@ -82,16 +82,20 @@ impl SimpleConsumer {
     /// batches, advances the offset. Returns `(wrapper_offset, message)`
     /// pairs — acknowledging an offset implies everything before it.
     ///
-    /// The fetch is zero-copy end to end: the broker hands back
-    /// [`crate::message::FetchChunk`] views of its own segment storage,
+    /// The fetch is committed-only and zero-copy end to end: the cluster
+    /// hands back [`crate::message::FetchChunk`] views of the partition
+    /// leader's segment storage, up to the high watermark,
     /// and uncompressed payloads are `Bytes` sub-slices of those chunks —
     /// no byte of payload is copied between the log and this method's
     /// caller. Compressed wrappers are decompressed here, outside any
     /// broker lock, into one buffer their inner payloads then alias.
     pub fn poll(&mut self) -> Result<Vec<(u64, Message)>, KafkaError> {
-        let broker = self.cluster.broker_for(&self.topic, self.partition)?;
-        let (chunks, next) =
-            broker.fetch_chunks(&self.topic, self.partition, self.offset, self.max_bytes)?;
+        let (chunks, next) = self.cluster.fetch_chunks(
+            &self.topic,
+            self.partition,
+            self.offset,
+            self.max_bytes,
+        )?;
         let mut out = Vec::with_capacity(chunks.iter().map(|c| c.messages as usize).sum());
         for chunk in &chunks {
             for item in chunk {

@@ -52,7 +52,7 @@ use crate::message::KafkaError;
 
 /// Producer-requested durability level for a produce call — the
 /// reproduction of Kafka's `acks` setting, threaded from [`crate::Producer`]
-/// through [`crate::Broker`] / [`crate::ReplicatedCluster`].
+/// into the partition's queue on [`crate::KafkaCluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AckMode {
     /// Fire-and-forget: the call returns without waiting for the group
@@ -68,8 +68,9 @@ pub enum AckMode {
     Leader,
     /// Ack only after every in-sync replica holds the bytes. A
     /// FullIsr-acked message survives any single failover byte-identically.
-    /// On an unreplicated [`crate::Broker`] there are no followers, so this
-    /// degenerates to `Leader`.
+    /// On a replication-factor-1 topic the leader is the whole ISR, so the
+    /// ack waits for the leader log's flush (the bytes become
+    /// pull-visible) and nothing else.
     FullIsr,
 }
 
@@ -95,9 +96,9 @@ pub struct GroupFrames<'a> {
     pub payload_bytes: u64,
 }
 
-/// Where a drained batch of groups goes. [`crate::Broker`] implements this
-/// over one partition log; [`crate::ReplicatedCluster`] implements it over
-/// the partition's current leader plus a replication ship.
+/// Where a drained batch of groups goes. The cluster's partition sink
+/// implements it over the partition's current leader plus a replication
+/// ship; the queue's own tests implement it over a bare log.
 pub trait IngestSink {
     /// Appends the groups' frame buffers back-to-back under **one**
     /// partition-lock acquisition, returning the base offset of the first
@@ -107,12 +108,8 @@ pub trait IngestSink {
 
     /// Pushes every byte appended so far out to all in-sync replicas.
     /// Called at most once per drained batch, and only when at least one
-    /// group in the batch asked for [`AckMode::FullIsr`]. The default is a
-    /// no-op: a single unreplicated broker has no followers, so FullIsr
-    /// degenerates to Leader there.
-    fn ship(&self) -> Result<(), KafkaError> {
-        Ok(())
-    }
+    /// group in the batch asked for [`AckMode::FullIsr`].
+    fn ship(&self) -> Result<(), KafkaError>;
 }
 
 /// Per-group completion state, observed by the producer that enqueued it.
@@ -191,8 +188,7 @@ struct QueueInner {
     draining: bool,
 }
 
-/// What one [`GroupQueue::drain_with`] call did — surfaced so the broker
-/// can record groups-per-drain distribution metrics.
+/// What one [`GroupQueue::drain_with`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DrainStats {
     /// Drained batches committed (lock acquisitions on the partition log).
@@ -202,8 +198,9 @@ pub struct DrainStats {
 }
 
 /// The sharded per-partition append queue behind group commit. One lives
-/// next to each partition log; producers [`GroupQueue::produce`] into it
-/// and the winning drainer commits every waiting group in one shot.
+/// in each partition's cluster-level record; producers
+/// [`GroupQueue::produce`] into it and the winning drainer commits every
+/// waiting group in one shot.
 pub struct GroupQueue {
     mode: ShardMode,
     capacity_bytes: usize,

@@ -23,6 +23,9 @@
 //! * **Distributed coordination** ([`group`]) — consumer groups rebalance
 //!   through ZooKeeper ([`li_zk`]): partition ownership, rebalance
 //!   triggering on membership change, and offset storage.
+//! * **Intra-cluster replication** ([`replication`]) — the paper's future
+//!   work: one [`KafkaCluster`] type owns every partition's leader, ISR and
+//!   high watermark; replication factor 1 is the degenerate case.
 //! * **Pipelines** ([`mirror`]) — embedded consumers mirror live clusters
 //!   into an offline cluster; [`audit`] reproduces the paper's end-to-end
 //!   count-auditing scheme.
@@ -75,4 +78,3 @@ pub use group::GroupConsumer;
 pub use ingest::{AckMode, ProduceReceipt};
 pub use message::{FetchChunk, KafkaError, Message, MessageSet};
 pub use producer::{Partitioner, Producer};
-pub use replication::ReplicatedCluster;

@@ -72,9 +72,8 @@ impl MirrorMaker {
             for partition in 0..self.source.num_partitions(topic)? {
                 let key = (topic.clone(), partition);
                 let offset = *self.offsets.lock().get(&key).unwrap_or(&0);
-                let broker = self.source.broker_for(topic, partition)?;
                 let (chunks, next) =
-                    broker.fetch_chunks(topic, partition, offset, usize::MAX)?;
+                    self.source.fetch_chunks(topic, partition, offset, usize::MAX)?;
                 if chunks.is_empty() {
                     continue;
                 }
@@ -160,9 +159,8 @@ impl WarehouseLoader {
             for partition in 0..self.cluster.num_partitions(topic)? {
                 let key = (topic.clone(), partition);
                 let offset = *self.offsets.lock().get(&key).unwrap_or(&0);
-                let broker = self.cluster.broker_for(topic, partition)?;
                 let (chunks, next) =
-                    broker.fetch_chunks(topic, partition, offset, usize::MAX)?;
+                    self.cluster.fetch_chunks(topic, partition, offset, usize::MAX)?;
                 for chunk in &chunks {
                     for item in chunk {
                         let (_, message) = item?;

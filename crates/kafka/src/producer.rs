@@ -154,9 +154,10 @@ impl Producer {
     }
 
     /// Builder: durability level each flushed batch waits for (default
-    /// [`AckMode::Leader`], the legacy produce contract). On an
-    /// unreplicated cluster [`AckMode::FullIsr`] degenerates to `Leader`;
-    /// the full contract lives in `ReplicatedCluster::produce_with_ack`.
+    /// [`AckMode::Leader`], the legacy produce contract). With
+    /// [`AckMode::FullIsr`] a flushed batch returns only once every
+    /// in-sync replica of its partition holds it (see
+    /// [`KafkaCluster::produce_frames_grouped`]).
     #[must_use]
     pub fn with_ack_mode(mut self, ack: AckMode) -> Self {
         self.ack = ack;
@@ -243,14 +244,13 @@ impl Producer {
         let payload_bytes = batch.bytes as u64;
         self.metrics.batch_messages.record(messages);
         let set = MessageSet::from_payloads(batch.payloads);
-        let broker = self.cluster.broker_for(topic, partition)?;
         let wire_bytes = match self.codec {
             Codec::None => {
                 // Encode once; the frame buffer is both the wire-byte
                 // accounting and the bytes handed to the group-commit queue.
                 let frames = set.encode();
                 let wire = frames.len();
-                broker.produce_frames_grouped(
+                self.cluster.produce_frames_grouped(
                     topic,
                     partition,
                     frames,
@@ -265,7 +265,7 @@ impl Producer {
                 let bytes = wrapper.framed_len();
                 let mut frames = Vec::with_capacity(bytes);
                 wrapper.encode(&mut frames);
-                broker.produce_frames_grouped(
+                self.cluster.produce_frames_grouped(
                     topic,
                     partition,
                     frames,
@@ -287,7 +287,7 @@ impl Producer {
     }
 
     /// Flushes every buffered batch. With [`AckMode::None`] the producer
-    /// additionally drains the brokers' ingest queues so flush-on-close
+    /// additionally drains the cluster's ingest queues so flush-on-close
     /// makes even unacknowledged sends pull-visible.
     pub fn flush(&self) -> Result<(), KafkaError> {
         let keys: Vec<(String, u32)> = self.buffers.lock().keys().cloned().collect();
@@ -295,9 +295,7 @@ impl Producer {
             self.flush_partition(&topic, partition)?;
         }
         if self.ack == AckMode::None {
-            for broker in self.cluster.brokers() {
-                broker.flush_ingest();
-            }
+            self.cluster.flush_ingest();
         }
         Ok(())
     }

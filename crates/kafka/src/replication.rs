@@ -20,250 +20,51 @@
 //!   sequence the single-failure budget allows;
 //! * a recovered broker whose log diverged (it led writes that were never
 //!   committed) is reset and re-replicated from the new leader.
+//!
+//! All of this state — replicas, ISR, the failed-broker set — lives on
+//! [`KafkaCluster`]; this module holds the protocol that moves it.
 
-use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
-use li_commons::shard::ShardedLock;
+use crate::cluster::{KafkaCluster, Partition};
+use crate::message::KafkaError;
 
-use crate::cluster::KafkaCluster;
-use crate::ingest::{AckMode, GroupFrames, GroupQueue, IngestSink, ProduceReceipt};
-use crate::message::{KafkaError, Message, MessageSet};
-
-/// Ingest-queue index stripes in `ShardMode::Parallel` (mirrors the
-/// broker's partition-index striping).
-const QUEUE_STRIPES: usize = 16;
-
-#[derive(Debug, Clone)]
-struct PartitionReplicas {
-    leader: u16,
-    followers: Vec<u16>,
-}
-
-/// A replication layer over a [`KafkaCluster`]'s brokers.
-pub struct ReplicatedCluster {
-    cluster: Arc<KafkaCluster>,
-    assignments: RwLock<HashMap<(String, u32), PartitionReplicas>>,
-    down: RwLock<HashSet<u16>>,
-    /// Per-partition in-sync replica set. A broker leaves on crash and
-    /// rejoins only after catching up to the leader's visible end; leader
-    /// elections are restricted to this set.
-    isr: RwLock<HashMap<(String, u32), HashSet<u16>>>,
-    /// Cluster-level group-commit queues, one per replicated partition.
-    /// They live here rather than on a broker because the queue must
-    /// survive a leader failover: producers keep enqueueing against the
-    /// partition while the sink resolves whoever currently leads it.
-    queues: ShardedLock<HashMap<(String, u32), Arc<GroupQueue>>>,
-}
-
-impl ReplicatedCluster {
-    /// Wraps a cluster. The ingest queues inherit the cluster's shard
-    /// mode, so a `ShardMode::Deterministic` cluster gets fully
-    /// serialized, one-group-per-append produce sequencing here too.
-    pub fn new(cluster: Arc<KafkaCluster>) -> Self {
-        let mode = cluster.shard_mode();
-        ReplicatedCluster {
-            cluster,
-            assignments: RwLock::new(HashMap::new()),
-            down: RwLock::new(HashSet::new()),
-            isr: RwLock::new(HashMap::new()),
-            queues: ShardedLock::with_mode(mode, QUEUE_STRIPES, HashMap::new),
-        }
-    }
-
-    /// Creates a replicated topic: partition `p`'s replicas are brokers
-    /// `p, p+1, .. p+replication-1 (mod broker count)`, first is leader.
-    pub fn create_topic(
-        &self,
-        topic: &str,
-        partitions: u32,
-        replication: usize,
-    ) -> Result<(), KafkaError> {
-        let brokers = self.cluster.brokers();
-        if replication == 0 || replication > brokers.len() {
-            return Err(KafkaError::Group(format!(
-                "replication {replication} invalid for {} brokers",
-                brokers.len()
-            )));
-        }
-        let mut assignments = self.assignments.write();
-        for p in 0..partitions {
-            let replicas: Vec<u16> = (0..replication)
-                .map(|r| ((p as usize + r) % brokers.len()) as u16)
-                .collect();
-            for &b in &replicas {
-                brokers[b as usize].create_partition(topic, p);
-            }
-            assignments.insert(
-                (topic.to_string(), p),
-                PartitionReplicas {
-                    leader: replicas[0],
-                    followers: replicas[1..].to_vec(),
-                },
-            );
-            // All replicas start empty, hence in sync.
-            self.isr
-                .write()
-                .insert((topic.to_string(), p), replicas.iter().copied().collect());
-            self.queues.lock(&(topic, p)).insert(
-                (topic.to_string(), p),
-                Arc::new(GroupQueue::new(
-                    self.cluster.shard_mode(),
-                    self.cluster.log_config().ingest_queue_bytes,
-                )),
-            );
-        }
-        Ok(())
-    }
-
-    fn queue(&self, topic: &str, partition: u32) -> Result<Arc<GroupQueue>, KafkaError> {
-        self.queues
-            .lock(&(topic, partition))
-            .get(&(topic.to_string(), partition))
-            .cloned()
-            .ok_or_else(|| KafkaError::UnknownTopicPartition(topic.to_string(), partition))
-    }
-
-    fn assignment(&self, topic: &str, partition: u32) -> Result<PartitionReplicas, KafkaError> {
-        self.assignments
-            .read()
-            .get(&(topic.to_string(), partition))
-            .cloned()
-            .ok_or_else(|| KafkaError::UnknownTopicPartition(topic.to_string(), partition))
-    }
-
-    /// The current leader broker id of a partition.
-    pub fn leader_of(&self, topic: &str, partition: u32) -> Result<u16, KafkaError> {
-        Ok(self.assignment(topic, partition)?.leader)
-    }
-
-    /// The partition's current in-sync replica set, sorted. Crashed
-    /// brokers leave it immediately; recovered brokers rejoin only after
-    /// catching up to the leader's visible end.
-    pub fn isr_of(&self, topic: &str, partition: u32) -> Result<Vec<u16>, KafkaError> {
-        let isr = self
-            .isr
-            .read()
-            .get(&(topic.to_string(), partition))
-            .cloned()
-            .ok_or_else(|| KafkaError::UnknownTopicPartition(topic.to_string(), partition))?;
-        let mut isr: Vec<u16> = isr.into_iter().collect();
-        isr.sort_unstable();
-        Ok(isr)
-    }
-
-    /// Produces to the partition's leader. Fails when the leader is down
-    /// (the client should refresh metadata after a failover).
-    pub fn produce(
-        &self,
-        topic: &str,
-        partition: u32,
-        set: &MessageSet,
-    ) -> Result<u64, KafkaError> {
-        let assignment = self.assignment(topic, partition)?;
-        if self.down.read().contains(&assignment.leader) {
-            return Err(KafkaError::Group(format!(
-                "leader {} down for {topic}/{partition}",
-                assignment.leader
-            )));
-        }
-        self.cluster.brokers()[assignment.leader as usize].produce(topic, partition, set)
-    }
-
-    /// Group-commit produce with an explicit durability contract. The set
-    /// is encoded once, outside every lock, then enqueued into the
-    /// partition's cluster-level [`GroupQueue`]: concurrent producers
-    /// share one leader-log lock acquisition and (for
-    /// [`AckMode::FullIsr`]) one replication ship per drained batch.
-    ///
-    /// * [`AckMode::None`] — returns without waiting; no offset.
-    /// * [`AckMode::Leader`] — returns after the leader's local append,
-    ///   exactly the [`ReplicatedCluster::produce`] contract.
-    /// * [`AckMode::FullIsr`] — returns only after every live replica
-    ///   holds the bytes; the message is committed (at or below the high
-    ///   watermark) the moment the call returns, with no
-    ///   [`ReplicatedCluster::replicate`] pump needed.
-    pub fn produce_with_ack(
-        &self,
-        topic: &str,
-        partition: u32,
-        set: &MessageSet,
-        ack: AckMode,
-    ) -> Result<ProduceReceipt, KafkaError> {
-        let frames = set.encode();
-        let queue = self.queue(topic, partition)?;
-        let sink = ReplicaSink {
-            rc: self,
-            topic,
-            partition,
-        };
-        queue.produce(
-            &sink,
-            frames,
-            set.messages.len() as u64,
-            set.payload_bytes() as u64,
-            ack,
-        )
-    }
-
-    /// Drains every partition's group-commit queue (flush-on-close for
-    /// [`AckMode::None`] producers; the chaos harness calls this at
-    /// quiesce).
-    pub fn flush_ingest(&self) {
-        let queues: Vec<((String, u32), Arc<GroupQueue>)> = self
-            .queues
-            .lock_all()
-            .iter()
-            .flat_map(|stripe| stripe.iter().map(|(k, q)| (k.clone(), q.clone())))
-            .collect();
-        for ((topic, partition), queue) in &queues {
-            let sink = ReplicaSink {
-                rc: self,
-                topic,
-                partition: *partition,
-            };
-            queue.drain_with(&sink);
-        }
-    }
-
+impl KafkaCluster {
     /// One replication pump: every live follower pulls the bytes it is
     /// missing from its leader's log. Returns messages copied.
     pub fn replicate(&self) -> Result<usize, KafkaError> {
-        let assignments: Vec<((String, u32), PartitionReplicas)> = self
-            .assignments
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
         let down = self.down.read().clone();
         let mut copied = 0;
-        for ((topic, partition), replicas) in assignments {
-            if down.contains(&replicas.leader) {
+        for (topic, partition, state) in self.all_partitions() {
+            if down.contains(&state.replicas.read().leader) {
                 continue;
             }
-            copied += self.catch_up(&topic, partition, &replicas, &down)?;
+            copied += self.catch_up(&topic, partition, &state, &down)?;
         }
         Ok(copied)
     }
 
     /// Pulls every live follower of one partition up to its leader's
     /// visible end — the per-partition body of
-    /// [`ReplicatedCluster::replicate`], also invoked by the FullIsr ship.
+    /// [`KafkaCluster::replicate`], also invoked by the FullIsr ship.
     /// Returns messages copied.
     fn catch_up(
         &self,
         topic: &str,
         partition: u32,
-        replicas: &PartitionReplicas,
+        state: &Partition,
         down: &HashSet<u16>,
     ) -> Result<usize, KafkaError> {
-        let brokers = self.cluster.brokers();
-        let leader_log = brokers[replicas.leader as usize].log(topic, partition)?;
+        let (leader, followers) = {
+            let replicas = state.replicas.read();
+            (replicas.leader, replicas.followers.clone())
+        };
+        let brokers = self.brokers();
+        let leader_log = brokers[leader as usize].log(topic, partition)?;
         let target = leader_log.visible_end();
         let mut copied = 0;
-        let mut synced: Vec<u16> = vec![replicas.leader];
-        for &f in &replicas.followers {
+        let mut synced: Vec<u16> = vec![leader];
+        for f in followers {
             if down.contains(&f) {
                 continue;
             }
@@ -292,9 +93,7 @@ impl ReplicatedCluster {
         // Replicas that reached the leader's visible end (re)join the ISR
         // — the only gate through which a recovered broker becomes
         // electable again.
-        if let Some(isr) = self.isr.write().get_mut(&(topic.to_string(), partition)) {
-            isr.extend(synced);
-        }
+        state.replicas.write().isr.extend(synced);
         Ok(copied)
     }
 
@@ -302,70 +101,21 @@ impl ReplicatedCluster {
     /// appended byte becomes pull-visible) and catches every live follower
     /// up to it. The in-sync replica set is "live replicas right now" —
     /// with the chaos harness's single-failure budget and replication
-    /// factor 3 that always leaves a surviving copy for failover.
-    fn ship_partition(&self, topic: &str, partition: u32) -> Result<(), KafkaError> {
-        let assignment = self.assignment(topic, partition)?;
-        let down = self.down.read().clone();
-        if down.contains(&assignment.leader) {
-            return Err(KafkaError::Group(format!(
-                "leader {} down for {topic}/{partition}",
-                assignment.leader
-            )));
-        }
-        self.cluster.brokers()[assignment.leader as usize]
-            .log(topic, partition)?
-            .flush();
-        self.catch_up(topic, partition, &assignment, &down)?;
-        Ok(())
-    }
-
-    /// The high watermark: the largest offset replicated to *every* live
-    /// replica. Messages past it are not yet committed.
-    pub fn high_watermark(&self, topic: &str, partition: u32) -> Result<u64, KafkaError> {
-        let assignment = self.assignment(topic, partition)?;
-        let down = self.down.read();
-        let brokers = self.cluster.brokers();
-        let mut hw = u64::MAX;
-        let mut any = false;
-        for &b in std::iter::once(&assignment.leader).chain(&assignment.followers) {
-            if down.contains(&b) {
-                continue;
-            }
-            hw = hw.min(brokers[b as usize].log(topic, partition)?.visible_end());
-            any = true;
-        }
-        Ok(if any { hw } else { 0 })
-    }
-
-    /// Committed-only fetch: reads from the leader, truncated at the high
-    /// watermark — a consumer can never observe a message that a leader
-    /// failover could lose.
-    pub fn fetch_committed(
+    /// factor 3 that always leaves a surviving copy for failover. With
+    /// replication factor 1 the flush is the whole ship.
+    pub(crate) fn ship(
         &self,
         topic: &str,
         partition: u32,
-        offset: u64,
-        max_bytes: usize,
-    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
-        let assignment = self.assignment(topic, partition)?;
-        if self.down.read().contains(&assignment.leader) {
-            return Err(KafkaError::Group(format!(
-                "leader {} down for {topic}/{partition}",
-                assignment.leader
-            )));
-        }
-        let hw = self.high_watermark(topic, partition)?;
-        let leader_log = self.cluster.brokers()[assignment.leader as usize].log(topic, partition)?;
-        let (messages, next) = leader_log.read(offset.min(hw), max_bytes)?;
-        let committed: Vec<(u64, Message)> =
-            messages.into_iter().take_while(|(o, _)| *o < hw).collect();
-        let next = next.min(hw).max(
-            committed
-                .last()
-                .map(|(o, m)| o + m.framed_len() as u64)
-                .unwrap_or(offset.min(hw)),
-        );
-        Ok((committed, next))
+        state: &Partition,
+    ) -> Result<(), KafkaError> {
+        let leader = state.replicas.read().leader;
+        self.live_leader(topic, partition, leader)?
+            .log(topic, partition)?
+            .flush();
+        let down = self.down.read().clone();
+        self.catch_up(topic, partition, state, &down)?;
+        Ok(())
     }
 
     /// Fails a broker: it leaves every partition's ISR, and partitions it
@@ -376,15 +126,11 @@ impl ReplicatedCluster {
     /// `FullIsr`-acknowledged byte.
     pub fn fail_broker(&self, broker: u16) -> Result<Vec<(String, u32, u16)>, KafkaError> {
         self.down.write().insert(broker);
-        let brokers = self.cluster.brokers();
         let down = self.down.read().clone();
         let mut elections = Vec::new();
-        let mut assignments = self.assignments.write();
-        let mut isr_map = self.isr.write();
-        for ((topic, partition), replicas) in assignments.iter_mut() {
-            let key = (topic.clone(), *partition);
-            let isr = isr_map.entry(key).or_default();
-            isr.remove(&broker);
+        for (topic, partition, state) in self.all_partitions() {
+            let mut replicas = state.replicas.write();
+            replicas.isr.remove(&broker);
             if replicas.leader != broker {
                 continue;
             }
@@ -392,10 +138,10 @@ impl ReplicatedCluster {
             let candidate = replicas
                 .followers
                 .iter()
-                .filter(|b| !down.contains(b) && isr.contains(b))
+                .filter(|b| !down.contains(b) && replicas.isr.contains(b))
                 .max_by_key(|&&b| {
-                    brokers[b as usize]
-                        .log(topic, *partition)
+                    self.brokers()[b as usize]
+                        .log(&topic, partition)
                         .map(|l| l.log_end())
                         .unwrap_or(0)
                 })
@@ -404,16 +150,16 @@ impl ReplicatedCluster {
                 continue; // partition offline until an ISR replica returns
             };
             replicas.followers.retain(|&b| b != new_leader);
-            replicas.followers.push(replicas.leader);
+            replicas.followers.push(broker);
             replicas.leader = new_leader;
-            elections.push((topic.clone(), *partition, new_leader));
+            elections.push((topic, partition, new_leader));
         }
         Ok(elections)
     }
 
     /// Brings a broker back; it rejoins as a follower everywhere. Any
     /// partition whose local log has diverged from the current leader is
-    /// reset here so the next [`ReplicatedCluster::replicate`] recopies
+    /// reset here so the next [`KafkaCluster::replicate`] recopies
     /// it from scratch. Divergence is detected by byte-prefix
     /// fingerprint, not length: a crashed leader can rejoin with an
     /// uncommitted tail its successor overwrote with different records
@@ -423,48 +169,48 @@ impl ReplicatedCluster {
     pub fn recover_broker(&self, broker: u16) {
         self.down.write().remove(&broker);
         let down = self.down.read().clone();
-        let brokers = self.cluster.brokers();
-        for ((topic, partition), replicas) in self.assignments.read().iter() {
+        let brokers = self.brokers();
+        for (topic, partition, state) in self.all_partitions() {
+            let replicas = state.replicas.read().clone();
             if replicas.leader == broker
                 || down.contains(&replicas.leader)
                 || !replicas.followers.contains(&broker)
             {
                 continue;
             }
-            let Ok(local) = brokers[broker as usize].log(topic, *partition) else {
+            let Ok(local) = brokers[broker as usize].log(&topic, partition) else {
                 continue;
             };
             let end = local.log_end();
             if end == 0 {
                 continue;
             }
-            let Ok(leader_log) = brokers[replicas.leader as usize].log(topic, *partition) else {
+            let Ok(leader_log) = brokers[replicas.leader as usize].log(&topic, partition) else {
                 continue;
             };
             let overlap = end.min(leader_log.log_end());
             if end > leader_log.log_end()
                 || local.prefix_fingerprint(overlap) != leader_log.prefix_fingerprint(overlap)
             {
-                brokers[broker as usize].reset_partition(topic, *partition);
+                brokers[broker as usize].reset_partition(&topic, partition);
             }
         }
     }
 
     /// Chaos invariant checker: every *live* replica of the partition
     /// holds a byte-identical log (same end offset, same content
-    /// fingerprint). Call after pumping [`ReplicatedCluster::replicate`]
+    /// fingerprint). Call after pumping [`KafkaCluster::replicate`]
     /// to convergence.
     pub fn verify_replica_identity(&self, topic: &str, partition: u32) -> Result<(), String> {
-        let assignment = self
-            .assignment(topic, partition)
-            .map_err(|e| e.to_string())?;
+        let state = self.partition(topic, partition).map_err(|e| e.to_string())?;
+        let replicas = state.replicas.read().clone();
         let down = self.down.read().clone();
-        let brokers = self.cluster.brokers();
-        let leader_log = brokers[assignment.leader as usize]
+        let brokers = self.brokers();
+        let leader_log = brokers[replicas.leader as usize]
             .log(topic, partition)
             .map_err(|e| e.to_string())?;
         let (want_end, want_print) = (leader_log.log_end(), leader_log.content_fingerprint());
-        for &b in &assignment.followers {
+        for &b in &replicas.followers {
             if down.contains(&b) {
                 continue;
             }
@@ -475,7 +221,7 @@ impl ReplicatedCluster {
                 return Err(format!(
                     "replica {b} of {topic}/{partition} diverges from leader {}: \
                      end {} vs {want_end}, fingerprint {:#x} vs {want_print:#x}",
-                    assignment.leader,
+                    replicas.leader,
                     log.log_end(),
                     log.content_fingerprint()
                 ));
@@ -485,42 +231,9 @@ impl ReplicatedCluster {
     }
 }
 
-/// [`IngestSink`] over one replicated partition: a drained batch appends
-/// to whoever *currently* leads the partition (one lock acquisition via
-/// the leader broker's group append), and a FullIsr ship pushes the
-/// leader's bytes to every live follower once per batch. A downed leader
-/// fails the whole batch — every waiting producer sees the error, exactly
-/// like the legacy [`ReplicatedCluster::produce`].
-struct ReplicaSink<'a> {
-    rc: &'a ReplicatedCluster,
-    topic: &'a str,
-    partition: u32,
-}
-
-impl IngestSink for ReplicaSink<'_> {
-    fn append_groups(&self, groups: &[GroupFrames<'_>]) -> Result<u64, KafkaError> {
-        let assignment = self.rc.assignment(self.topic, self.partition)?;
-        if self.rc.down.read().contains(&assignment.leader) {
-            return Err(KafkaError::Group(format!(
-                "leader {} down for {}/{}",
-                assignment.leader, self.topic, self.partition
-            )));
-        }
-        self.rc.cluster.brokers()[assignment.leader as usize].append_groups_local(
-            self.topic,
-            self.partition,
-            groups,
-        )
-    }
-
-    fn ship(&self) -> Result<(), KafkaError> {
-        self.rc.ship_partition(self.topic, self.partition)
-    }
-}
-
 /// Chaos-scheduler hooks: a crash fails the broker (triggering
 /// longest-log leader elections), a restart recovers it as a follower.
-impl li_commons::chaos::FaultHooks for ReplicatedCluster {
+impl li_commons::chaos::FaultHooks for KafkaCluster {
     fn crash(&self, node: li_commons::ring::NodeId) {
         let _ = self.fail_broker(node.0);
     }
@@ -533,18 +246,21 @@ impl li_commons::chaos::FaultHooks for ReplicatedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::AckMode;
     use crate::log::LogConfig;
+    use crate::message::MessageSet;
     use li_commons::sim::SimClock;
+    use std::sync::Arc;
 
-    fn replicated() -> (Arc<KafkaCluster>, ReplicatedCluster) {
+    fn replicated() -> (Arc<KafkaCluster>, Arc<KafkaCluster>) {
         let cluster =
             KafkaCluster::with_parts(3, LogConfig::default(), Arc::new(SimClock::new())).unwrap();
-        let replicated = ReplicatedCluster::new(cluster.clone());
-        replicated.create_topic("t", 1, 3).unwrap();
+        let replicated = cluster.clone();
+        replicated.create_replicated_topic("t", 1, 3).unwrap();
         (cluster, replicated)
     }
 
-    fn payloads(rc: &ReplicatedCluster, from: u64) -> Vec<String> {
+    fn payloads(rc: &KafkaCluster, from: u64) -> Vec<String> {
         let (messages, _) = rc.fetch_committed("t", 0, from, usize::MAX).unwrap();
         messages
             .iter()
@@ -791,8 +507,28 @@ mod tests {
     fn invalid_replication_factor_rejected() {
         let cluster =
             KafkaCluster::with_parts(2, LogConfig::default(), Arc::new(SimClock::new())).unwrap();
-        let rc = ReplicatedCluster::new(cluster);
-        assert!(rc.create_topic("t", 1, 3).is_err());
-        assert!(rc.create_topic("t", 1, 0).is_err());
+        let rc = cluster;
+        assert!(rc.create_replicated_topic("t", 1, 3).is_err());
+        assert!(rc.create_replicated_topic("t", 1, 0).is_err());
+    }
+
+    #[test]
+    fn recreating_a_replicated_topic_is_rejected_and_keeps_its_state() {
+        // A second create must not reset the partition: that would hand
+        // leadership back to a downed broker and readmit it to the ISR.
+        let (_c, rc) = replicated();
+        rc.produce_with_ack("t", 0, &MessageSet::from_payloads(["kept"]), AckMode::FullIsr)
+            .unwrap();
+        let first = rc.leader_of("t", 0).unwrap();
+        rc.fail_broker(first).unwrap();
+        let (leader, isr) = (rc.leader_of("t", 0).unwrap(), rc.isr_of("t", 0).unwrap());
+        assert_ne!(leader, first);
+        assert!(!isr.contains(&first));
+
+        assert!(rc.create_replicated_topic("t", 1, 3).is_err());
+        assert!(rc.create_topic("t", 1).is_err());
+        assert_eq!(rc.leader_of("t", 0).unwrap(), leader);
+        assert_eq!(rc.isr_of("t", 0).unwrap(), isr);
+        assert_eq!(payloads(&rc, 0), vec!["kept"]);
     }
 }

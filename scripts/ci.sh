@@ -104,6 +104,12 @@ SITE_SMOKE_DRIVERS="${SITE_SMOKE_DRIVERS:-4}" \
 SITE_SMOKE_OPS="${SITE_SMOKE_OPS:-600}" \
   timeout 300 cargo test -q --test site_scale site_smoke_with_migration_in_flight_clears_all_gates
 
+echo "== sitebench smoke: the benchmark crate builds and passes its own tests =="
+# sitebench/ is a Cargo workspace of its own (so the benchmark never
+# edits the repository workspace); without this step CI would never
+# compile it, though it depends on the platform and Kafka APIs.
+cargo test -q --offline --manifest-path sitebench/Cargo.toml
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

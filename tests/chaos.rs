@@ -27,7 +27,7 @@ use li_commons::sim::SimClock;
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::MirrorMaker;
-use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
+use li_kafka::{AckMode, KafkaCluster, MessageSet};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use li_sqlstore::{Database, RowKey};
@@ -536,8 +536,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
     config.max_down = 1;
     let mut sched = ChaosScheduler::new(seed, nodes, config);
     let live = KafkaCluster::new(3).unwrap();
-    let replicated = ReplicatedCluster::new(live.clone());
-    replicated.create_topic("events", 3, 3).unwrap();
+    live.create_replicated_topic("events", 3, 3).unwrap();
     // The paper's live→offline pipeline: a mirror pair on the side.
     let source = KafkaCluster::new(1).unwrap();
     let target = KafkaCluster::new(1).unwrap();
@@ -550,10 +549,10 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
     let mut next_offset = [0u64; 3];
     let mut produced_ok = 0u64;
     for i in 0..150u64 {
-        sched.step(&replicated);
+        sched.step(&*live);
         let partition = (i % 3) as u32;
         let set = MessageSet::from_payloads([format!("m{i}")]);
-        if replicated.produce("events", partition, &set).is_ok() {
+        if live.produce("events", partition, &set).is_ok() {
             produced_ok += 1;
         }
         source
@@ -562,14 +561,14 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
             .produce("tracking", (i % 2) as u32, &set)
             .unwrap();
         if i % 4 == 0 {
-            let _ = replicated.replicate();
+            let _ = live.replicate();
         }
         if i % 7 == 0 {
             let _ = mirror.pump();
         }
         let p = partition as usize;
         if let Ok((messages, next)) =
-            replicated.fetch_committed("events", partition, next_offset[p], usize::MAX)
+            live.fetch_committed("events", partition, next_offset[p], usize::MAX)
         {
             for (offset, message) in messages {
                 consumed[p].push((offset, message.payload.clone()));
@@ -581,9 +580,9 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
         }
     }
 
-    sched.quiesce(&replicated);
+    sched.quiesce(&*live);
     for _ in 0..10 {
-        if replicated.replicate().unwrap() == 0 {
+        if live.replicate().unwrap() == 0 {
             break;
         }
     }
@@ -616,7 +615,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
     };
     let replica_identity = || -> Result<(), String> {
         for p in 0..3u32 {
-            replicated.verify_replica_identity("events", p)?;
+            live.verify_replica_identity("events", p)?;
         }
         Ok(())
     };
@@ -625,7 +624,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
         // rolled back: re-fetching from 0 must replay the same bytes at
         // the same offsets.
         for p in 0..3u32 {
-            let (all, _) = replicated
+            let (all, _) = live
                 .fetch_committed("events", p, 0, usize::MAX)
                 .map_err(|e| format!("refetch events/{p}: {e}"))?;
             for (offset, payload) in &consumed[p as usize] {
@@ -698,7 +697,7 @@ const ACK_PARTITIONS: u32 = 2;
 /// snapshot is taken before `fail_broker` runs the election, so it
 /// reflects what the dying leader had actually committed.
 struct AckCrashHooks<'a> {
-    rc: &'a ReplicatedCluster,
+    rc: &'a KafkaCluster,
     op: &'a AtomicU64,
     /// (partition, op index at crash, high watermark at crash).
     crashes: Mutex<Vec<(u32, u64, u64)>>,
@@ -748,11 +747,10 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
         ShardMode::Deterministic,
     )
     .unwrap();
-    let replicated = ReplicatedCluster::new(live.clone());
-    replicated.create_topic("events", ACK_PARTITIONS, 3).unwrap();
+    live.create_replicated_topic("events", ACK_PARTITIONS, 3).unwrap();
     let op = AtomicU64::new(0);
     let hooks = AckCrashHooks {
-        rc: &replicated,
+        rc: &live,
         op: &op,
         crashes: Mutex::new(Vec::new()),
     };
@@ -770,7 +768,7 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
         let payload = Bytes::from(format!("m{i}"));
         let set = MessageSet::from_payloads([payload.clone()]);
         let ack = acks[(i % 3) as usize];
-        match replicated.produce_with_ack("events", partition, &set, ack) {
+        match live.produce_with_ack("events", partition, &set, ack) {
             Ok(receipt) => match ack {
                 AckMode::FullIsr => {
                     full_isr_acked.push((partition, receipt.base_offset.unwrap(), payload, i));
@@ -783,7 +781,7 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
             Err(_) => rejected += 1,
         }
         if i % 5 == 0 {
-            let _ = replicated.replicate();
+            let _ = live.replicate();
         }
         if i % 30 == 0 {
             sched.note(format!(
@@ -797,9 +795,9 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
     }
 
     sched.quiesce(&hooks);
-    replicated.flush_ingest();
+    live.flush_ingest();
     for _ in 0..10 {
-        if replicated.replicate().unwrap() == 0 {
+        if live.replicate().unwrap() == 0 {
             break;
         }
     }
@@ -813,7 +811,7 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
     // Committed state per partition after full recovery.
     let committed: Vec<Vec<(u64, Bytes)>> = (0..ACK_PARTITIONS)
         .map(|p| {
-            let (messages, _) = replicated.fetch_committed("events", p, 0, usize::MAX).unwrap();
+            let (messages, _) = live.fetch_committed("events", p, 0, usize::MAX).unwrap();
             messages.into_iter().map(|(o, m)| (o, m.payload)).collect()
         })
         .collect();
@@ -861,7 +859,7 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
     };
     let replica_identity = || -> Result<(), String> {
         for p in 0..ACK_PARTITIONS {
-            replicated.verify_replica_identity("events", p)?;
+            live.verify_replica_identity("events", p)?;
         }
         Ok(())
     };
@@ -1029,7 +1027,7 @@ fn chaos_sweep_sqlstore_replication() {
 /// correlated-failure shape of a real host loss.
 struct SiteHooks {
     voldemort: Arc<VoldemortCluster>,
-    kafka: Arc<ReplicatedCluster>,
+    kafka: Arc<KafkaCluster>,
 }
 
 impl FaultHooks for SiteHooks {
@@ -1104,15 +1102,14 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
     // Activity tier: 3 brokers, RF=3 — any single broker loss leaves a
     // quorum of replicas for every partition.
     let kafka = KafkaCluster::new(3).unwrap();
-    let replicated = Arc::new(ReplicatedCluster::new(kafka.clone()));
     const ACTIVITY_PARTITIONS: u32 = 2;
-    replicated
-        .create_topic("activity", ACTIVITY_PARTITIONS, 3)
+    kafka
+        .create_replicated_topic("activity", ACTIVITY_PARTITIONS, 3)
         .unwrap();
 
     let hooks = SiteHooks {
         voldemort: voldemort.clone(),
-        kafka: replicated.clone(),
+        kafka: kafka.clone(),
     };
 
     // Seed the population: graph-shaped follow rows in the primary,
@@ -1225,7 +1222,7 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
                 let partition = (*member % ACTIVITY_PARTITIONS as u64) as u32;
                 let payload = Bytes::from(format!("{i}:{member}:{event}"));
                 let set = MessageSet::from_payloads([payload.clone()]);
-                match replicated.produce("activity", partition, &set) {
+                match kafka.produce("activity", partition, &set) {
                     Ok(offset) => {
                         produced_ok += 1;
                         acked_activity.push((partition, offset, payload));
@@ -1241,10 +1238,10 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
             if let Err(e) = cacher.catch_up() {
                 sched.note(format!("op {i}: databus catch_up deferred: {e}"));
             }
-            let _ = replicated.replicate();
+            let _ = kafka.replicate();
             for p in 0..ACTIVITY_PARTITIONS {
                 if let Ok((messages, next)) =
-                    replicated.fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
+                    kafka.fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
                 {
                     for (offset, message) in messages {
                         consumed[p as usize].push((offset, message.payload.clone()));
@@ -1283,12 +1280,12 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
     }
     cacher.catch_up().unwrap();
     for _ in 0..10 {
-        if replicated.replicate().unwrap() == 0 {
+        if kafka.replicate().unwrap() == 0 {
             break;
         }
     }
     for p in 0..ACTIVITY_PARTITIONS {
-        let (messages, next) = replicated
+        let (messages, next) = kafka
             .fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
             .unwrap();
         for (offset, message) in messages {
@@ -1360,8 +1357,8 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
     };
     let kafka_committed_exactly_once = || -> Result<(), String> {
         for p in 0..ACTIVITY_PARTITIONS {
-            replicated.verify_replica_identity("activity", p)?;
-            let (all, end) = replicated
+            kafka.verify_replica_identity("activity", p)?;
+            let (all, end) = kafka
                 .fetch_committed("activity", p, 0, usize::MAX)
                 .map_err(|e| format!("refetch activity/{p}: {e}"))?;
             // Committed reads stable: nothing a consumer saw may change.

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use li_commons::ring::NodeId;
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_espresso::{DatabaseSchema, EspressoCluster, GlobalIndex, TableSchema};
-use li_kafka::{KafkaCluster, MessageSet, ReplicatedCluster};
+use li_kafka::{AckMode, KafkaCluster, MessageSet, Partitioner, Producer, SimpleConsumer};
 use li_sqlstore::RowKey;
 use std::sync::Arc;
 
@@ -13,9 +13,8 @@ use std::sync::Arc;
 fn kafka_replication_under_rolling_broker_failures() {
     // §V.D future work: intra-cluster replication. Roll a failure through
     // every broker; committed messages must survive every election.
-    let cluster = KafkaCluster::new(3).unwrap();
-    let rc = ReplicatedCluster::new(cluster);
-    rc.create_topic("events", 2, 3).unwrap();
+    let rc = KafkaCluster::new(3).unwrap();
+    rc.create_replicated_topic("events", 2, 3).unwrap();
 
     let mut committed: Vec<String> = Vec::new();
     for round in 0..3u16 {
@@ -45,6 +44,65 @@ fn kafka_replication_under_rolling_broker_failures() {
         rc.recover_broker(victim);
         rc.replicate().unwrap();
     }
+}
+
+#[test]
+fn kafka_full_isr_producer_and_consumer_ride_out_leader_failover() {
+    // The client path over a replicated topic: a keyed FullIsr producer
+    // and a committed-only consumer keep working across a leader crash.
+    let cluster = KafkaCluster::new(3).unwrap();
+    cluster.create_replicated_topic("events", 1, 3).unwrap();
+    let producer = Producer::new(cluster.clone())
+        .with_partitioner(Partitioner::Keyed)
+        .with_ack_mode(AckMode::FullIsr);
+    let mut consumer = SimpleConsumer::new(cluster.clone(), "events", 0).unwrap();
+    let mut seen: Vec<String> = Vec::new();
+    let mut poll = |consumer: &mut SimpleConsumer| {
+        let batch = consumer.poll().unwrap();
+        assert!(
+            consumer.position() <= cluster.high_watermark("events", 0).unwrap(),
+            "consumer read past the high watermark"
+        );
+        seen.extend(
+            batch
+                .iter()
+                .map(|(_, m)| String::from_utf8_lossy(&m.payload).into_owned()),
+        );
+    };
+
+    let mut acked: Vec<String> = Vec::new();
+    for i in 0..5 {
+        let payload = format!("before-{i}");
+        producer.send_keyed("events", b"member-7", payload.clone()).unwrap();
+        acked.push(payload);
+    }
+    poll(&mut consumer);
+    // A Leader-acked tail the followers never received: uncommitted, so
+    // the consumer must not see it, and the failover discards it.
+    let old_leader = cluster.leader_of("events", 0).unwrap();
+    cluster
+        .produce("events", 0, &MessageSet::from_payloads(["uncommitted"]))
+        .unwrap();
+    poll(&mut consumer);
+
+    cluster.fail_broker(old_leader).unwrap();
+    let new_leader = cluster.leader_of("events", 0).unwrap();
+    assert_ne!(new_leader, old_leader);
+    assert_eq!(cluster.broker_for("events", 0).unwrap().id(), new_leader);
+    let before = cluster.broker_for("events", 0).unwrap().log("events", 0).unwrap().log_end();
+    for i in 0..5 {
+        let payload = format!("after-{i}");
+        producer.send_keyed("events", b"member-7", payload.clone()).unwrap();
+        acked.push(payload);
+        poll(&mut consumer);
+    }
+    // The sends after the failover landed on the new leader.
+    let after = cluster.broker_for("events", 0).unwrap().log("events", 0).unwrap().log_end();
+    assert!(after > before, "new leader's log did not grow");
+    poll(&mut consumer);
+
+    // Every FullIsr-acked payload read back exactly once, in order.
+    assert_eq!(seen, acked);
 }
 
 #[test]

@@ -99,14 +99,12 @@ proptest! {
                 .produce_frames("ingest", partition, &frames, messages, payload_bytes)
                 .unwrap();
             let det_receipt = det
-                .broker_for("ingest", partition).unwrap()
                 .produce_frames_grouped(
                     "ingest", partition, frames.clone(), messages, payload_bytes,
                     AckMode::Leader,
                 )
                 .unwrap();
             let par_receipt = par
-                .broker_for("ingest", partition).unwrap()
                 .produce_frames_grouped(
                     "ingest", partition, frames, messages, payload_bytes,
                     AckMode::Leader,
@@ -174,7 +172,6 @@ proptest! {
                         let payload_bytes = set.payload_bytes();
                         let ack = acks[(ack_seed as usize + t + seq) % acks.len()];
                         let receipt = cluster
-                            .broker_for("ingest", partition).unwrap()
                             .produce_frames_grouped(
                                 "ingest", partition, frames, 1, payload_bytes, ack,
                             )
