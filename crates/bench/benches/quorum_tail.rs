@@ -16,10 +16,12 @@
 //! modes replay the identical stall schedule with real sleeps
 //! (`simulate_latency`), so completion order is decided by link latency.
 //!
-//! * **serial** — `FanOutMode::Serial`, quorum width: the legacy path.
-//! * **parallel** — `FanOutMode::Parallel`, `ReadFanOut::All`: contact
+//! * **serial** — `ShardMode::Deterministic`, quorum width: the R
+//!   replicas are called one after another inline, so their sleeps add up
+//!   — the legacy walk's contact sequence and critical path.
+//! * **parallel** — `ShardMode::Parallel`, `ReadFanOut::All`: contact
 //!   every replica, return at R. Masks the stall at +N/R× replica load.
-//! * **hedged** — `FanOutMode::Parallel`, quorum width + `HedgeConfig`:
+//! * **hedged** — `ShardMode::Parallel`, quorum width + `HedgeConfig`:
 //!   masks the stall for ~the price of the stall rate in extra load.
 //!
 //! Acceptance: parallel p99 ≥ 2× better than serial; hedged p999 ≥ 2×
@@ -29,9 +31,10 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use li_commons::ring::{HashRing, NodeId};
+use li_commons::shard::ShardMode;
 use li_commons::sim::{SimClock, SimNetwork};
 use li_voldemort::{
-    FanOutMode, HedgeConfig, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster,
+    HedgeConfig, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster,
 };
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -165,7 +168,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         &keys,
         "serial",
         QuorumConfig {
-            mode: FanOutMode::Serial,
+            mode: ShardMode::Deterministic,
             simulate_latency: true,
             ..QuorumConfig::default()
         },
@@ -175,7 +178,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         &keys,
         "parallel",
         QuorumConfig {
-            mode: FanOutMode::Parallel,
+            mode: ShardMode::Parallel,
             read_fan_out: ReadFanOut::All,
             simulate_latency: true,
             ..QuorumConfig::default()
@@ -186,7 +189,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         &keys,
         "hedged",
         QuorumConfig {
-            mode: FanOutMode::Parallel,
+            mode: ShardMode::Parallel,
             hedge: Some(HedgeConfig {
                 // 4x the base link latency: far enough above real-sleep
                 // scheduling jitter that hedges fire on genuine stalls, not
@@ -263,7 +266,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         (
             "serial",
             QuorumConfig {
-                mode: FanOutMode::Serial,
+                mode: ShardMode::Deterministic,
                 simulate_latency: true,
                 ..QuorumConfig::default()
             },
@@ -271,7 +274,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         (
             "parallel_all",
             QuorumConfig {
-                mode: FanOutMode::Parallel,
+                mode: ShardMode::Parallel,
                 read_fan_out: ReadFanOut::All,
                 simulate_latency: true,
                 ..QuorumConfig::default()
@@ -280,7 +283,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         (
             "hedged",
             QuorumConfig {
-                mode: FanOutMode::Parallel,
+                mode: ShardMode::Parallel,
                 hedge: Some(HedgeConfig {
                     min_delay: Duration::from_micros(400),
                     ..HedgeConfig::default()

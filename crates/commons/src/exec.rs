@@ -16,27 +16,28 @@
 //! # Determinism contract
 //!
 //! Thread scheduling is inherently nondeterministic, but the chaos harness
-//! (`li_commons::chaos`) requires byte-identical replays. [`FanOutMode`]
-//! therefore offers three execution strategies:
+//! (`li_commons::chaos`) requires byte-identical replays. The pool argument
+//! of [`fan_out`] is therefore the only execution selector, and callers
+//! pass one iff their [`ShardMode`] is `Parallel`:
 //!
-//! * [`FanOutMode::Serial`] — the legacy walk: run tasks one at a time and
-//!   stop at `required` successes. Exists as the comparison baseline.
-//! * [`FanOutMode::Deterministic`] — run every launched task inline, in
-//!   submission order, on the calling thread. Latencies are *accounted*
-//!   (the caller sums simulated latencies as if the tasks had overlapped)
-//!   rather than slept, so the observable sequence of side effects — and
-//!   any RNG the tasks consume, e.g. [`crate::sim::SimNetwork`] drop rolls
-//!   — is a pure function of the inputs. This is the default for
-//!   simulation and the mode chaos replays use.
-//! * [`FanOutMode::Parallel`] — real threads from the pool, wall-clock
-//!   hedging and deadlines. Used by benchmarks and production-like runs
-//!   where throughput matters more than replayability.
+//! * no pool ([`ShardMode::Deterministic`]) — run every launched task
+//!   inline, in submission order, on the calling thread. Latencies are
+//!   *accounted* (the caller takes the R-th fastest simulated latency as
+//!   if the tasks had overlapped) rather than slept, so the observable
+//!   sequence of side effects — and any RNG the tasks consume, e.g.
+//!   [`crate::sim::SimNetwork`] drop rolls — is a pure function of the
+//!   inputs. This is the mode chaos replays use.
+//! * a pool ([`ShardMode::Parallel`]) — real threads, wall-clock hedging
+//!   and deadlines. Used by benchmarks and production-like runs where
+//!   throughput matters more than replayability.
 //!
-//! Serial and Deterministic contact the same nodes in the same order and
-//! produce the same result sets; Parallel contacts the same nodes but may
-//! observe completions in any order (callers sort by preference-list
-//! position before merging, so *results* still match when task outcomes
-//! are themselves deterministic).
+//! Both contact the same nodes; Parallel may observe completions in any
+//! order (callers sort by preference-list position before merging, so
+//! *results* still match when task outcomes are themselves deterministic).
+//!
+//! [`ShardMode`]: crate::shard::ShardMode
+//! [`ShardMode::Deterministic`]: crate::shard::ShardMode::Deterministic
+//! [`ShardMode::Parallel`]: crate::shard::ShardMode::Parallel
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -171,27 +172,13 @@ impl Drop for FanOutPool {
     }
 }
 
-/// How [`fan_out`] executes its tasks. See the module docs for the
-/// determinism contract behind each mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FanOutMode {
-    /// Legacy serial walk: stop launching once `required` successes arrive.
-    Serial,
-    /// Inline, submission-ordered execution of every launched task —
-    /// replayable; simulated latencies overlap by accounting, not threads.
-    #[default]
-    Deterministic,
-    /// Real threads, wall-clock hedging and deadlines.
-    Parallel,
-}
-
 /// One replica task: `key` identifies the replica (it is carried through
 /// to results, failures, and late callbacks), `run` performs the call.
 pub struct FanOutTask<T, E> {
     /// Caller-chosen identity of the task (e.g. the node id).
     pub key: u64,
-    /// The work. Must be `'static` because [`FanOutMode::Parallel`] may
-    /// outlive the `fan_out` call with it.
+    /// The work. Must be `'static` because a pooled task may outlive the
+    /// `fan_out` call that launched it.
     pub run: Box<dyn FnOnce() -> Result<T, E> + Send + 'static>,
 }
 
@@ -214,14 +201,12 @@ impl<T, E> FanOutTask<T, E> {
 /// Tuning for one [`fan_out`] call.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanOutOptions {
-    /// Execution mode.
-    pub mode: FanOutMode,
     /// Successes needed before the call returns (the R or W of a quorum).
     pub required: usize,
-    /// Parallel only: if the quorum is still unmet after this delay, launch
+    /// Pooled only: if the quorum is still unmet after this delay, launch
     /// one backup task speculatively (a hedged request).
     pub hedge_delay: Option<Duration>,
-    /// Parallel only: give up waiting (not on the tasks — they keep
+    /// Pooled only: give up waiting (not on the tasks — they keep
     /// running and report to `late`) after this much wall time.
     pub overall_deadline: Option<Duration>,
 }
@@ -232,8 +217,8 @@ pub struct FanOutReport<T, E> {
     /// The first `required` successes, in completion order.
     pub quorum: Vec<(u64, T)>,
     /// Successes beyond the quorum that completed before the call
-    /// returned (Deterministic runs every launched task, so extras are
-    /// common there; Parallel only drains what already finished).
+    /// returned (the inline path runs every launched task, so extras are
+    /// common there; the pooled path only drains what already finished).
     pub extras: Vec<(u64, T)>,
     /// Non-fatal failures observed before the call returned.
     pub failures: Vec<(u64, E)>,
@@ -275,14 +260,15 @@ impl<T, E> FanOutReport<T, E> {
 }
 
 /// Callback for task outcomes that arrive *after* [`fan_out`] returned
-/// (Parallel mode stragglers). Runs on a pool worker thread.
+/// (pooled stragglers). Runs on a pool worker thread.
 pub type LateHandler<T, E> = Arc<dyn Fn(u64, Result<T, E>) + Send + Sync>;
 
 /// Fans `primary` tasks out, waits for `required` successes, and replaces
 /// each observed failure with the next `backups` task (the sloppy-quorum
 /// "try the next node in the preference list" move). `is_fatal` failures
-/// abort immediately — no replacement, no further waiting. See
-/// [`FanOutMode`] for how each mode trades parallelism for replayability.
+/// abort immediately — no replacement, no further waiting. With a `pool`
+/// the tasks run on its threads; without one they run inline and
+/// replayably (see the module docs).
 pub fn fan_out<T, E>(
     pool: Option<&FanOutPool>,
     opts: &FanOutOptions,
@@ -295,35 +281,25 @@ where
     T: Send + 'static,
     E: Send + 'static,
 {
-    match opts.mode {
-        FanOutMode::Serial => run_serial(opts, primary, backups, is_fatal, false),
-        FanOutMode::Deterministic => run_serial(opts, primary, backups, is_fatal, true),
-        FanOutMode::Parallel => match pool {
-            Some(pool) => run_parallel(pool, opts, primary, backups, is_fatal, late),
-            // No pool: degrade gracefully to the replayable inline mode.
-            None => run_serial(opts, primary, backups, is_fatal, true),
-        },
+    match pool {
+        Some(pool) => run_parallel(pool, opts, primary, backups, is_fatal, late),
+        None => run_inline(opts, primary, backups, is_fatal),
     }
 }
 
-/// Serial and Deterministic share one inline loop; `run_all` distinguishes
-/// them (Deterministic keeps executing launched tasks past the quorum so
+/// The inline path keeps executing launched tasks past the quorum, so
 /// every contacted replica's side effects happen inline, matching what
-/// Parallel would eventually do via stragglers).
-fn run_serial<T, E>(
+/// the pooled path eventually does via stragglers.
+fn run_inline<T, E>(
     opts: &FanOutOptions,
     primary: Vec<FanOutTask<T, E>>,
     backups: Vec<FanOutTask<T, E>>,
     is_fatal: Option<&dyn Fn(&E) -> bool>,
-    run_all: bool,
 ) -> FanOutReport<T, E> {
     let mut report = FanOutReport::empty(opts.required);
     let mut backups = backups.into_iter();
     let mut work: VecDeque<FanOutTask<T, E>> = primary.into();
     while let Some(task) = work.pop_front() {
-        if !run_all && report.satisfied() {
-            break;
-        }
         report.launched += 1;
         match (task.run)() {
             Ok(value) => {
@@ -520,27 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn serial_stops_at_quorum() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let primary = (0..4).map(|k| ok_task(k, &log)).collect();
-        let opts = FanOutOptions {
-            mode: FanOutMode::Serial,
-            required: 2,
-            ..Default::default()
-        };
-        let report = fan_out(None, &opts, primary, vec![], None, None);
-        assert!(report.satisfied());
-        assert_eq!(report.quorum, vec![(0, 0), (1, 10)]);
-        assert_eq!(*log.lock(), vec![0, 1], "serial stops after R successes");
-        assert!(report.extras.is_empty());
-    }
-
-    #[test]
     fn deterministic_runs_all_launched_in_order() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let primary = (0..4).map(|k| ok_task(k, &log)).collect();
         let opts = FanOutOptions {
-            mode: FanOutMode::Deterministic,
             required: 2,
             ..Default::default()
         };
@@ -556,7 +515,6 @@ mod tests {
         let primary = vec![err_task(0, &log), ok_task(1, &log)];
         let backups = vec![ok_task(9, &log), ok_task(8, &log)];
         let opts = FanOutOptions {
-            mode: FanOutMode::Deterministic,
             required: 2,
             ..Default::default()
         };
@@ -572,7 +530,6 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let primary = vec![ok_task(0, &log), err_task(1, &log), ok_task(2, &log)];
         let opts = FanOutOptions {
-            mode: FanOutMode::Deterministic,
             required: 3,
             ..Default::default()
         };
@@ -604,7 +561,6 @@ mod tests {
             }));
         }
         let opts = FanOutOptions {
-            mode: FanOutMode::Parallel,
             required: 2,
             ..Default::default()
         };
@@ -648,7 +604,6 @@ mod tests {
         }];
         let backups = vec![FanOutTask::new(7, || Ok(70))];
         let opts = FanOutOptions {
-            mode: FanOutMode::Parallel,
             required: 1,
             hedge_delay: Some(Duration::from_millis(5)),
             ..Default::default()
@@ -680,7 +635,6 @@ mod tests {
             })
         }];
         let opts = FanOutOptions {
-            mode: FanOutMode::Parallel,
             required: 1,
             overall_deadline: Some(Duration::from_millis(10)),
             ..Default::default()
@@ -709,11 +663,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_without_pool_degrades_to_deterministic() {
+    fn no_pool_runs_every_task_inline() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let primary = (0..3).map(|k| ok_task(k, &log)).collect();
         let opts = FanOutOptions {
-            mode: FanOutMode::Parallel,
             required: 1,
             ..Default::default()
         };

@@ -9,24 +9,31 @@
 //! operations acquire their stripes in ascending index order so no two
 //! transactions can deadlock no matter which keys they touch.
 //!
-//! Like [`crate::exec::FanOutMode`], every user of this primitive keeps a
-//! deterministic twin: [`ShardMode::Deterministic`] degenerates to one
-//! logical stripe, which makes the sharded code path byte-identical to
-//! the old single-lock behavior — the property the seeded chaos harness
-//! relies on for replayable traces.
+//! Every user of this primitive keeps a deterministic twin:
+//! [`ShardMode::Deterministic`] degenerates to one logical stripe, which
+//! makes the sharded code path byte-identical to the old single-lock
+//! behavior — the property the seeded chaos harness relies on for
+//! replayable traces.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-/// How a sharded structure spreads its state over stripes.
+/// The one execution mode of every tier: how a sharded structure spreads
+/// its state over stripes, and whether fan-outs (Voldemort quorums,
+/// Espresso multi-key requests) run inline or on a
+/// [`crate::exec::FanOutPool`]. A tier holds such a pool iff its mode is
+/// `Parallel`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// One logical stripe: every key contends on the same lock, exactly
-    /// reproducing the pre-sharding serial behavior (chaos replays).
-    Deterministic,
-    /// The configured stripe count: disjoint keys proceed concurrently.
+    /// reproducing the pre-sharding serial behavior, and fan-outs run
+    /// inline in submission order. The default, so a config that does
+    /// not choose stays replayable (seeded chaos replays depend on it).
     #[default]
+    Deterministic,
+    /// The configured stripe count: disjoint keys proceed concurrently,
+    /// and fan-outs run on real threads.
     Parallel,
 }
 
@@ -39,7 +46,6 @@ pub enum ShardMode {
 /// all stripes, never before.
 pub struct ShardedLock<S> {
     stripes: Vec<Mutex<S>>,
-    mode: ShardMode,
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for ShardedLock<S> {
@@ -55,33 +61,21 @@ impl<S> ShardedLock<S> {
     pub fn new(stripes: usize, init: impl Fn() -> S) -> Self {
         ShardedLock {
             stripes: (0..stripes.max(1)).map(|_| Mutex::new(init())).collect(),
-            mode: ShardMode::Parallel,
         }
     }
 
     /// [`Self::new`], but [`ShardMode::Deterministic`] collapses to one
     /// stripe regardless of `stripes`.
     pub fn with_mode(mode: ShardMode, stripes: usize, init: impl Fn() -> S) -> Self {
-        let mut lock = match mode {
+        match mode {
             ShardMode::Deterministic => Self::new(1, init),
             ShardMode::Parallel => Self::new(stripes, init),
-        };
-        lock.mode = mode;
-        lock
+        }
     }
 
     /// Number of stripes.
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()
-    }
-
-    /// The mode this lock was built with. Structures layering their own
-    /// concurrency on top of the stripes (e.g. the Kafka ingest queues,
-    /// which collapse drainer hand-off to inline execution in
-    /// [`ShardMode::Deterministic`]) read this instead of threading the
-    /// mode through a second channel.
-    pub fn mode(&self) -> ShardMode {
-        self.mode
     }
 
     /// The stripe a key hashes to. Stable for the lifetime of the value
@@ -157,16 +151,6 @@ mod tests {
         assert_eq!(sharded.stripe_count(), 1);
         let sharded: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Parallel, 64, || 0);
         assert_eq!(sharded.stripe_count(), 64);
-    }
-
-    #[test]
-    fn mode_accessor_reports_construction_mode() {
-        let det: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Deterministic, 64, || 0);
-        assert_eq!(det.mode(), ShardMode::Deterministic);
-        let par: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Parallel, 64, || 0);
-        assert_eq!(par.mode(), ShardMode::Parallel);
-        let plain: ShardedLock<u32> = ShardedLock::new(4, || 0);
-        assert_eq!(plain.mode(), ShardMode::Parallel);
     }
 
     #[test]

@@ -75,10 +75,12 @@ pub struct PlatformConfig {
     pub espresso_partitions: u32,
     /// Partitions of the activity topic.
     pub activity_partitions: u32,
-    /// Shard mode for every striped structure in the platform (primary
-    /// store row stripes, follow-lock stripes). `Deterministic` collapses
-    /// them all to single locks — the serialized twin used for chaos
-    /// replays and as the scaling baseline.
+    /// Shard mode for every tier in the platform: the primary store's row
+    /// stripes, the follow-lock stripes, both Kafka clusters' index
+    /// stripes and ingest queues, and Espresso's multi-key fan-out.
+    /// `Deterministic` collapses them all to single locks and inline
+    /// execution — the serialized twin used for chaos replays and as the
+    /// scaling baseline.
     pub shard_mode: ShardMode,
 }
 
@@ -230,14 +232,18 @@ impl DataPlatform {
         // The live cluster shares the site registry; the offline mirror
         // keeps a private one so identical broker/topic metric names from
         // the two datacenters never collide.
-        let kafka_live = KafkaCluster::with_metrics(
-            kafka_brokers,
-            LogConfig::default(),
-            Arc::new(RealClock::new()),
-            &metrics,
-        )
-        .map_err(wrap)?;
-        let kafka_offline = KafkaCluster::new(kafka_brokers).map_err(wrap)?;
+        let kafka_cluster = |registry: &Arc<MetricsRegistry>| {
+            KafkaCluster::with_shard_mode(
+                kafka_brokers,
+                LogConfig::default(),
+                Arc::new(RealClock::new()),
+                registry,
+                shard_mode,
+            )
+            .map_err(wrap)
+        };
+        let kafka_live = kafka_cluster(&metrics)?;
+        let kafka_offline = kafka_cluster(&MetricsRegistry::new())?;
         for cluster in [&kafka_live, &kafka_offline] {
             cluster
                 .create_topic(ACTIVITY_TOPIC, activity_partitions)
@@ -264,9 +270,11 @@ impl DataPlatform {
 
         // Espresso tier: the profile documents' source-of-truth serving
         // store (the paper's migration target for member profiles), on
-        // the same site-wide registry.
+        // the same site-wide registry. Multi-key profile requests fan out
+        // across storage-node sub-batches when the platform runs sharded;
+        // the Deterministic twin keeps them inline and replayable.
         let espresso =
-            EspressoCluster::with_metrics(espresso_nodes, &metrics).map_err(wrap)?;
+            EspressoCluster::with_shard_mode(espresso_nodes, &metrics, shard_mode).map_err(wrap)?;
         let profile_schema = DatabaseSchema::new(
             PROFILE_DB,
             espresso_partitions,
@@ -283,13 +291,6 @@ impl DataPlatform {
         )
         .map_err(wrap)?;
         espresso.create_database(profile_schema).map_err(wrap)?;
-        // Multi-key profile requests fan out across storage-node
-        // sub-batches when the platform runs sharded; the Deterministic
-        // twin keeps them inline and replayable.
-        espresso.set_fan_out_mode(match shard_mode {
-            ShardMode::Parallel => li_commons::exec::FanOutMode::Parallel,
-            ShardMode::Deterministic => li_commons::exec::FanOutMode::Deterministic,
-        });
 
         Ok(DataPlatform {
             primary,
@@ -685,6 +686,19 @@ mod tests {
         assert_eq!(platform.followed_companies(1).unwrap(), vec![100, 200]);
         assert_eq!(platform.followers(100).unwrap(), vec![1, 2]);
         assert_eq!(platform.followers(999).unwrap(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn deterministic_config_reaches_every_tier() {
+        let platform = DataPlatform::with_config(PlatformConfig {
+            shard_mode: ShardMode::Deterministic,
+            ..PlatformConfig::default()
+        })
+        .unwrap();
+        assert_eq!(platform.primary.shard_mode(), ShardMode::Deterministic);
+        assert_eq!(platform.kafka_live.shard_mode(), ShardMode::Deterministic);
+        assert_eq!(platform.kafka_offline.shard_mode(), ShardMode::Deterministic);
+        assert_eq!(platform.espresso.shard_mode(), ShardMode::Deterministic);
     }
 
     #[test]

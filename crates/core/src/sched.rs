@@ -45,7 +45,7 @@ struct SchedShared<S> {
 
 /// Runs every state machine to completion across the pool's workers,
 /// one quantum at a time. Returns the machines in their original order.
-/// A machine that panics mid-step poisons nothing — [`worker_loop`]
+/// A machine that panics mid-step poisons nothing — `worker_loop`
 /// contains the panic and still counts the machine finished, so the
 /// pool drains — but its slot comes back `None`, which this function
 /// surfaces by panicking with the count of lost drivers (a benchmark

@@ -548,7 +548,7 @@ impl SiteBench {
     /// The bulk path: seeds a pre-generated population — knee sweeps
     /// reuse one graph across load points so only the platform state is
     /// rebuilt per point. Funnels through the same canonical
-    /// [`PopulationLoader`] as the streaming path, so both produce the
+    /// `PopulationLoader` as the streaming path, so both produce the
     /// identical platform state.
     pub fn prepare_with_graph(
         config: SiteBenchConfig,

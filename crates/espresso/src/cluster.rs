@@ -14,10 +14,11 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
 
-use li_commons::exec::{fan_out, FanOutMode, FanOutOptions, FanOutPool, FanOutTask};
+use li_commons::exec::{fan_out, FanOutOptions, FanOutPool, FanOutTask};
 use li_commons::metrics::{Counter, Histo, MetricsRegistry};
 use li_commons::ring::{NodeId, PartitionId};
 use li_commons::schema::Record;
+use li_commons::shard::ShardMode;
 use li_databus::Relay;
 use li_helix::{Controller, Participant, ReplicaState, ResourceConfig, Transition};
 use li_sqlstore::{Row, RowKey};
@@ -69,14 +70,10 @@ pub struct EspressoCluster {
     /// plus JSON parse per request; the Helix controller pushes every
     /// rebalanced view into the watch.
     views: RwLock<HashMap<String, li_commons::watch::Receiver<Arc<li_helix::Assignment>>>>,
-    /// How multi-key requests execute their per-master-node sub-batches.
-    /// Deterministic (the default) runs them inline in node order —
-    /// replayable; Parallel fans them out over [`Self::fan_out_pool`].
-    fan_out_mode: RwLock<FanOutMode>,
-    /// Read-mostly handle to the router's shared fan-out pool, created
-    /// lazily on first Parallel multi-key request (Deterministic clusters
-    /// spawn no threads). Same idiom as the Voldemort quorum pool.
-    fan_out_pool: RwLock<Option<Arc<FanOutPool>>>,
+    /// The router's pool for multi-key sub-batches, present iff the
+    /// cluster was built in [`ShardMode::Parallel`]. Without it the
+    /// sub-batches run inline in node order — replayable, and no threads.
+    fan_out_pool: Option<FanOutPool>,
     registry: Arc<MetricsRegistry>,
     metrics: EspressoMetrics,
 }
@@ -105,6 +102,18 @@ impl EspressoCluster {
         node_count: u16,
         registry: &Arc<MetricsRegistry>,
     ) -> Result<Arc<Self>, EspressoError> {
+        Self::with_shard_mode(node_count, registry, ShardMode::Deterministic)
+    }
+
+    /// [`Self::with_metrics`] with an explicit mode for multi-key
+    /// requests: [`ShardMode::Deterministic`] runs their per-master-node
+    /// sub-batches inline in node order (replayable);
+    /// [`ShardMode::Parallel`] fans them out over the router's own pool.
+    pub fn with_shard_mode(
+        node_count: u16,
+        registry: &Arc<MetricsRegistry>,
+        mode: ShardMode,
+    ) -> Result<Arc<Self>, EspressoError> {
         let zk = ZooKeeper::new();
         let controller = Controller::new(&zk, "espresso")?;
         let registry = Arc::clone(registry);
@@ -116,8 +125,7 @@ impl EspressoCluster {
             participants: Mutex::new(HashMap::new()),
             schemas: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
-            fan_out_mode: RwLock::new(FanOutMode::Deterministic),
-            fan_out_pool: RwLock::new(None),
+            fan_out_pool: (mode == ShardMode::Parallel).then(|| FanOutPool::new(8)),
             metrics: EspressoMetrics::new(&registry),
             registry,
         });
@@ -372,29 +380,12 @@ impl EspressoCluster {
         })
     }
 
-    /// Sets how multi-key requests execute (Deterministic by default;
-    /// the site platform switches to Parallel alongside `ShardMode`).
-    pub fn set_fan_out_mode(&self, mode: FanOutMode) {
-        *self.fan_out_mode.write() = mode;
-    }
-
-    /// The current multi-key execution mode.
-    pub fn fan_out_mode(&self) -> FanOutMode {
-        *self.fan_out_mode.read()
-    }
-
-    /// The shared pool behind Parallel multi-key fan-out, created lazily
-    /// so Deterministic clusters spawn no threads. Read-mostly after the
-    /// first acquisition.
-    fn fan_out_pool(&self) -> Arc<FanOutPool> {
-        if let Some(pool) = self.fan_out_pool.read().as_ref() {
-            return Arc::clone(pool);
+    /// The mode this cluster was built with.
+    pub fn shard_mode(&self) -> ShardMode {
+        match self.fan_out_pool {
+            Some(_) => ShardMode::Parallel,
+            None => ShardMode::Deterministic,
         }
-        Arc::clone(
-            self.fan_out_pool
-                .write()
-                .get_or_insert_with(|| Arc::new(FanOutPool::new(8))),
-        )
     }
 
     /// Groups `keys` by their master node (input order preserved within
@@ -422,15 +413,11 @@ impl EspressoCluster {
         tasks: Vec<FanOutTask<Vec<(usize, T)>, EspressoError>>,
         total: usize,
     ) -> Result<Vec<T>, EspressoError> {
-        let mode = self.fan_out_mode();
-        let required = tasks.len();
-        let pool = matches!(mode, FanOutMode::Parallel).then(|| self.fan_out_pool());
         let opts = FanOutOptions {
-            mode,
-            required,
+            required: tasks.len(),
             ..Default::default()
         };
-        let mut report = fan_out(pool.as_deref(), &opts, tasks, Vec::new(), None, None);
+        let mut report = fan_out(self.fan_out_pool.as_ref(), &opts, tasks, Vec::new(), None, None);
         if let Some((_, err)) = report.fatal.take() {
             return Err(err);
         }
@@ -698,6 +685,10 @@ mod tests {
     const DB: &str = "Profiles";
 
     fn cluster_with_db(nodes: u16) -> Arc<EspressoCluster> {
+        cluster_in_mode(nodes, ShardMode::Deterministic)
+    }
+
+    fn cluster_in_mode(nodes: u16, mode: ShardMode) -> Arc<EspressoCluster> {
         let schema = DatabaseSchema::new(DB, 8, 2)
             .with_table(
                 TableSchema::new("Profile", ["member"]),
@@ -709,7 +700,8 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let cluster = EspressoCluster::new(nodes).unwrap();
+        let cluster =
+            EspressoCluster::with_shard_mode(nodes, &MetricsRegistry::new(), mode).unwrap();
         cluster.create_database(schema).unwrap();
         cluster
     }
@@ -732,9 +724,8 @@ mod tests {
 
     #[test]
     fn multi_get_matches_singleton_gets_in_input_order() {
-        for mode in [FanOutMode::Deterministic, FanOutMode::Parallel] {
-            let cluster = cluster_with_db(3);
-            cluster.set_fan_out_mode(mode);
+        for mode in [ShardMode::Deterministic, ShardMode::Parallel] {
+            let cluster = cluster_in_mode(3, mode);
             let keys = seed_members(&cluster, 40);
             // Shuffle-ish order plus a miss in the middle.
             let mut request: Vec<RowKey> = keys.iter().rev().cloned().collect();
@@ -755,9 +746,8 @@ mod tests {
 
     #[test]
     fn multi_put_lands_documents_and_returns_etags_in_input_order() {
-        for mode in [FanOutMode::Deterministic, FanOutMode::Parallel] {
-            let cluster = cluster_with_db(3);
-            cluster.set_fan_out_mode(mode);
+        for mode in [ShardMode::Deterministic, ShardMode::Parallel] {
+            let cluster = cluster_in_mode(3, mode);
             let documents: Vec<(RowKey, Record)> = (0..30)
                 .map(|m| {
                     (
@@ -814,8 +804,8 @@ mod tests {
             .collect();
         cluster.multi_get(DB, "Profile", keys).unwrap();
         assert!(
-            cluster.fan_out_pool.read().is_none(),
-            "Deterministic mode must not lazily create the fan-out pool"
+            cluster.fan_out_pool.is_none(),
+            "Deterministic mode must not create the fan-out pool"
         );
     }
 }

@@ -17,7 +17,7 @@
 //! group, commits them with a single [`IngestSink::append_groups`] call
 //! (one partition-lock acquisition, one flush-policy check, one consumer
 //! wakeup — see `PartitionLog::append_frames_multi`), ships the batch to
-//! replicas at most once, completes each group's [`GroupSlot`], and loops
+//! replicas at most once, completes each group's `GroupSlot`, and loops
 //! while more groups arrived during the commit. Producers that lost the
 //! drainer race block on their slot according to their [`AckMode`] — so
 //! the many-producers/one-append collapse is exactly the classic group
@@ -238,11 +238,6 @@ impl GroupQueue {
             }),
             vacancy: Condvar::new(),
         }
-    }
-
-    /// The queue's shard mode.
-    pub fn mode(&self) -> ShardMode {
-        self.mode
     }
 
     /// Groups currently waiting for a drainer (diagnostics / tests).

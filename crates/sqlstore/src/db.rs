@@ -203,7 +203,7 @@ impl Database {
     /// [`ShardMode::Deterministic`] serializes all rows behind one stripe
     /// (the pre-sharding behavior, byte-identical for seeded replays);
     /// [`ShardMode::Parallel`] stripes rows over
-    /// [`DEFAULT_ROW_STRIPES`] locks.
+    /// `DEFAULT_ROW_STRIPES` (32) locks.
     pub fn with_shard_mode(
         name: impl Into<String>,
         clock: Arc<dyn Clock>,

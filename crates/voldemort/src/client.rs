@@ -19,29 +19,28 @@
 //! Replica requests go through the [`li_commons::exec`] fan-out executor:
 //! the call completes as soon as R (or W) replicas acknowledge, and
 //! stragglers are demoted to background read repair (gets) or hinted
-//! handoff (puts) instead of adding their latency to the caller. The
-//! execution strategy is chosen per client via [`QuorumConfig`]:
+//! handoff (puts) instead of adding their latency to the caller. Each
+//! client runs in one [`ShardMode`], set in its [`QuorumConfig`], and it
+//! hands the executor the cluster's shared pool iff that mode is Parallel:
 //!
-//! * [`FanOutMode::Deterministic`] (default) — replayable inline
+//! * [`ShardMode::Deterministic`] (default) — replayable inline
 //!   execution; simulated latencies overlap by accounting (the reported
 //!   [`QuorumStats::sim_latency`] is the R-th fastest replica, not the
 //!   sum), which is what the chaos harness replays byte-identically.
-//! * [`FanOutMode::Parallel`] — real worker threads from the cluster's
+//! * [`ShardMode::Parallel`] — real worker threads from the cluster's
 //!   shared pool, with optional per-node deadlines
 //!   ([`QuorumConfig::per_node_timeout`], fed into the failure detector as
 //!   failures so slow nodes back off to banned) and *hedged reads*
 //!   ([`QuorumConfig::hedge`]: after a quantile-derived delay, one backup
 //!   request goes to the next replica; `get.hedged` / `get.hedge_won`
 //!   count the rate and usefulness).
-//! * [`FanOutMode::Serial`] — the pre-parallel walk, kept as the
-//!   benchmark baseline.
 
 use bytes::Bytes;
 use li_commons::clock::{resolve_siblings, VectorClock, Versioned};
-pub use li_commons::exec::FanOutMode;
 use li_commons::exec::{fan_out, FanOutOptions, FanOutPool, FanOutTask, LateHandler};
 use li_commons::metrics::{Counter, Histo};
 use li_commons::ring::NodeId;
+use li_commons::shard::ShardMode;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -107,7 +106,7 @@ pub enum ReadFanOut {
 /// Hedged-read tuning: if the quorum is unmet after a delay derived from
 /// the observed replica latency distribution, one backup request goes to
 /// the next untried replica. Only meaningful under
-/// [`FanOutMode::Parallel`].
+/// [`ShardMode::Parallel`].
 #[derive(Debug, Clone)]
 pub struct HedgeConfig {
     /// Latency quantile the delay is derived from (e.g. 0.95: hedge when
@@ -136,8 +135,8 @@ impl Default for HedgeConfig {
 /// pre-parallel client, which is what seeded chaos replays depend on.
 #[derive(Debug, Clone, Default)]
 pub struct QuorumConfig {
-    /// Execution strategy (see [`FanOutMode`]).
-    pub mode: FanOutMode,
+    /// Execution mode: inline and replayable, or on the cluster's pool.
+    pub mode: ShardMode,
     /// Read fan-out width (see [`ReadFanOut`]).
     pub read_fan_out: ReadFanOut,
     /// Per-node deadline: a replica whose simulated latency exceeds this
@@ -158,9 +157,8 @@ pub struct QuorumConfig {
 /// checks its R-th-fastest-replica bound against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuorumStats {
-    /// Simulated completion latency: for parallel/deterministic fan-out,
-    /// the R-th smallest replica latency among the successes (replicas
-    /// overlap); for [`FanOutMode::Serial`], the sum (they don't).
+    /// Simulated completion latency: the R-th smallest replica latency
+    /// among the successes (replicas overlap).
     pub sim_latency: Duration,
     /// Replica requests launched (primaries + backups + hedges).
     pub contacted: usize,
@@ -280,7 +278,7 @@ impl StoreClient {
         self
     }
 
-    /// Replaces the quorum I/O configuration (fan-out mode, read width,
+    /// Replaces the quorum I/O configuration (execution mode, read width,
     /// per-node deadline, hedging).
     #[must_use]
     pub fn with_quorum_config(mut self, config: QuorumConfig) -> Self {
@@ -323,7 +321,7 @@ impl StoreClient {
 
     /// The worker pool, only when this client actually runs parallel.
     fn pool(&self) -> Option<Arc<FanOutPool>> {
-        (self.config.mode == FanOutMode::Parallel).then(|| self.cluster.fan_out_pool())
+        (self.config.mode == ShardMode::Parallel).then(|| self.cluster.fan_out_pool())
     }
 
     /// Attempts one remote call inline, maintaining the failure detector.
@@ -362,7 +360,7 @@ impl StoreClient {
     /// The hedge delay for this moment, derived from the replica-latency
     /// histogram (Parallel mode with hedging configured only).
     fn hedge_delay(&self) -> Option<Duration> {
-        if self.config.mode != FanOutMode::Parallel {
+        if self.config.mode != ShardMode::Parallel {
             return None;
         }
         let cfg = self.config.hedge.as_ref()?;
@@ -469,7 +467,7 @@ impl StoreClient {
         // that missed this read entirely — the next read repairs it.
         let merged_latch: Arc<OnceLock<Vec<Versioned<Bytes>>>> = Arc::new(OnceLock::new());
         let late: Option<ReadLateHandler> =
-            (self.config.mode == FanOutMode::Parallel).then(|| {
+            (self.config.mode == ShardMode::Parallel).then(|| {
                 let cluster = Arc::clone(&self.cluster);
                 let store = self.store.name.clone();
                 let key = Bytes::copy_from_slice(key);
@@ -494,7 +492,6 @@ impl StoreClient {
             });
 
         let opts = FanOutOptions {
-            mode: self.config.mode,
             required,
             hedge_delay: (!backups.is_empty())
                 .then(|| self.hedge_delay())
@@ -558,13 +555,10 @@ impl StoreClient {
         let mut latencies: Vec<Duration> =
             responses.iter().map(|(_, latency, _)| *latency).collect();
         latencies.sort();
-        let sim_latency = match self.config.mode {
-            FanOutMode::Serial => latencies.iter().sum(),
-            _ => latencies
-                .get(required.saturating_sub(1))
-                .copied()
-                .unwrap_or_default(),
-        };
+        let sim_latency = latencies
+            .get(required.saturating_sub(1))
+            .copied()
+            .unwrap_or_default();
         let stats = QuorumStats {
             sim_latency,
             contacted: report.launched,
@@ -836,19 +830,18 @@ impl StoreClient {
             }
             if !tasks.is_empty() {
                 let late: Option<LateHandler<Duration, VoldemortError>> =
-                    (self.config.mode == FanOutMode::Parallel).then(|| {
+                    (self.config.mode == ShardMode::Parallel).then(|| {
                         self.late_hint_handler(key, &prefs, &new_clock, &value)
                     });
                 // Replication is not optional: every replica must be
-                // attempted. Inline modes run the whole wave (legacy
+                // attempted. The inline mode runs the whole wave (legacy
                 // parity); only Parallel returns at W acks and leaves the
                 // rest replicating in the background.
                 let wave_required = match self.config.mode {
-                    FanOutMode::Parallel => required.saturating_sub(acks),
-                    _ => tasks.len(),
+                    ShardMode::Parallel => required.saturating_sub(acks),
+                    ShardMode::Deterministic => tasks.len(),
                 };
                 let opts = FanOutOptions {
-                    mode: self.config.mode,
                     required: wave_required,
                     hedge_delay: None,
                     overall_deadline: None,
@@ -881,15 +874,12 @@ impl StoreClient {
                     failed_replicas.push(NodeId(*node as u16));
                 }
                 wave_latencies.sort();
-                sim_latency += match self.config.mode {
-                    FanOutMode::Serial => wave_latencies.iter().sum(),
-                    _ => opts
-                        .required
-                        .checked_sub(1)
-                        .and_then(|i| wave_latencies.get(i))
-                        .copied()
-                        .unwrap_or_default(),
-                };
+                sim_latency += opts
+                    .required
+                    .checked_sub(1)
+                    .and_then(|i| wave_latencies.get(i))
+                    .copied()
+                    .unwrap_or_default();
             }
         }
         self.metrics
@@ -1110,7 +1100,6 @@ impl StoreClient {
             }));
         }
         let opts = FanOutOptions {
-            mode: self.config.mode,
             required,
             hedge_delay: None,
             overall_deadline: None,
@@ -1199,7 +1188,6 @@ impl StoreClient {
         let opts = FanOutOptions {
             // Every node response matters for some key's quorum, so the
             // batch waits for all of them.
-            mode: self.config.mode,
             required: tasks.len(),
             hedge_delay: None,
             overall_deadline: None,
@@ -1598,7 +1586,7 @@ mod tests {
     fn parallel_mode_serves_quorum_reads_and_writes() {
         let (cluster, client) = cluster_with_store(5, 3, 2, 2);
         let client = client.with_quorum_config(QuorumConfig {
-            mode: FanOutMode::Parallel,
+            mode: ShardMode::Parallel,
             read_fan_out: ReadFanOut::All,
             ..QuorumConfig::default()
         });
@@ -1624,7 +1612,7 @@ mod tests {
     fn hedged_read_recovers_tail_latency_and_counts() {
         let (cluster, client) = cluster_with_store(5, 3, 1, 1);
         let client = client.with_quorum_config(QuorumConfig {
-            mode: FanOutMode::Parallel,
+            mode: ShardMode::Parallel,
             read_fan_out: ReadFanOut::Quorum,
             hedge: Some(HedgeConfig {
                 quantile: 0.95,

@@ -64,8 +64,8 @@ pub mod server;
 pub mod store;
 
 pub use client::{
-    FanOutMode, HedgeConfig, QuorumConfig, QuorumStats, ReadFanOut, RoutingMode, StoreClient,
-    Transform, UpdateAction,
+    HedgeConfig, QuorumConfig, QuorumStats, ReadFanOut, RoutingMode, StoreClient, Transform,
+    UpdateAction,
 };
 pub use cluster::VoldemortCluster;
 pub use error::VoldemortError;

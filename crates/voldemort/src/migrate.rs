@@ -23,7 +23,7 @@
 //! The key correctness idea: the *placement diff*. A cutover changes each
 //! key's preference list from its `source_ring` form to its `target_ring`
 //! form; the set of nodes in the target list but not the source list
-//! ([`ActiveMigration::moved_targets`]) is exactly the set that must hold
+//! (`ActiveMigration::moved_targets`) is exactly the set that must hold
 //! the key's image before the flip. Snapshot, journal replay, dual-write,
 //! and shadow verification all quantify over that diff, so even keys whose
 //! replica walk shifts *indirectly* (the ring walk skips partitions of

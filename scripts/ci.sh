@@ -113,6 +113,15 @@ cargo test -q --offline --manifest-path sitebench/Cargo.toml
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc: first-party crates, warnings are errors =="
+# Catches intra-doc links left dangling by a rename or deletion, and
+# public docs linking private items. The vendor/* stand-ins are skipped.
+first_party=(-p li-repro)
+for manifest in crates/*/Cargo.toml; do
+  first_party+=(-p "$(awk -F'"' '/^name = /{print $2; exit}' "$manifest")")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps "${first_party[@]}"
+
 echo "== cargo bench --workspace --no-run (bench targets compile-gate) =="
 cargo bench --workspace --no-run
 

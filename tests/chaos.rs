@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use li_sqlstore::{Database, RowKey};
 use li_databus::{DatabusClient, LogShippingAdapter, Relay};
-use li_voldemort::{FanOutMode, QuorumConfig, ReadFanOut, StoreDef, VoldemortCluster};
+use li_voldemort::{QuorumConfig, ReadFanOut, StoreDef, VoldemortCluster};
 use li_workload::{SiteGraph, SiteGraphConfig, SiteMix, SiteOp, SiteWorkload};
 use linkedin_data_infra::consumers::{
     company_row_key, member_row_key, parse_id_list, CompanyFollowCacher,
@@ -214,7 +214,7 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
     // form the quorum — is decided by the fault schedule, not by OS thread
     // scheduling. Injected latencies (10–25ms) dwarf scheduling jitter.
     let client = cluster.client("s").unwrap().with_quorum_config(QuorumConfig {
-        mode: FanOutMode::Parallel,
+        mode: ShardMode::Parallel,
         read_fan_out: ReadFanOut::All,
         simulate_latency: true,
         ..QuorumConfig::default()

@@ -1,7 +1,7 @@
 //! Property tests for Voldemort's quorum coordination (ISSUE 4): with
 //! R+W>N, a quorum read observes every committed write no matter which
-//! replicas crashed or slowed; the serial, deterministic, and parallel
-//! fan-out paths agree result-for-result on the same op schedule; hint
+//! replicas crashed or slowed; the deterministic and parallel fan-out
+//! paths agree result-for-result on the same op schedule; hint
 //! replay never resurrects an overwritten version; and `get_all` batches
 //! by node instead of running one quorum per key.
 //!
@@ -12,9 +12,10 @@
 use bytes::Bytes;
 use li_commons::clock::{VectorClock, Versioned};
 use li_commons::ring::{HashRing, NodeId};
+use li_commons::shard::ShardMode;
 use li_commons::sim::{SimClock, SimNetwork};
 use li_voldemort::{
-    FanOutMode, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster, VoldemortError,
+    QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster, VoldemortError,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -139,7 +140,7 @@ proptest! {
         clock.advance(Duration::from_secs(30));
 
         // Every acked write is observed, through every fan-out mode.
-        for mode in [FanOutMode::Serial, FanOutMode::Deterministic, FanOutMode::Parallel] {
+        for mode in [ShardMode::Deterministic, ShardMode::Parallel] {
             let reader = cluster.client("s").unwrap().with_quorum_config(QuorumConfig {
                 mode,
                 read_fan_out: ReadFanOut::All,
@@ -161,8 +162,8 @@ proptest! {
 
     /// Mode equivalence: the same op schedule — including a crash/restart
     /// epoch — produces identical per-op results (values *and* error
-    /// shapes) and identical final reads under the serial, deterministic,
-    /// and parallel quorum paths. The crash epoch is kept short enough
+    /// shapes) and identical final reads under the deterministic and
+    /// parallel quorum paths. The crash epoch is kept short enough
     /// (detector `min_samples` = 10) that no mode's failure-sample count
     /// can ban a node the others still consider available.
     #[test]
@@ -178,7 +179,7 @@ proptest! {
         let crash_node = NodeId(crash_node % nodes);
 
         let mut per_mode: Vec<(Vec<String>, Vec<String>)> = Vec::new();
-        for mode in [FanOutMode::Serial, FanOutMode::Deterministic, FanOutMode::Parallel] {
+        for mode in [ShardMode::Deterministic, ShardMode::Parallel] {
             let clock = Arc::new(SimClock::new());
             let cluster = build_cluster(nodes, n, r, w, clock);
             let client = cluster.client("s").unwrap().with_quorum_config(QuorumConfig {
@@ -218,19 +219,16 @@ proptest! {
             per_mode.push((results, final_reads));
         }
 
-        let (serial_results, serial_reads) = &per_mode[0];
-        for (mode_name, (results, reads)) in
-            ["deterministic", "parallel"].iter().zip(&per_mode[1..])
-        {
-            prop_assert_eq!(
-                serial_results, results,
-                "op results diverged between serial and {} paths", mode_name
-            );
-            prop_assert_eq!(
-                serial_reads, reads,
-                "final reads diverged between serial and {} paths", mode_name
-            );
-        }
+        let (inline_results, inline_reads) = &per_mode[0];
+        let (parallel_results, parallel_reads) = &per_mode[1];
+        prop_assert_eq!(
+            inline_results, parallel_results,
+            "op results diverged between deterministic and parallel paths"
+        );
+        prop_assert_eq!(
+            inline_reads, parallel_reads,
+            "final reads diverged between deterministic and parallel paths"
+        );
     }
 }
 
