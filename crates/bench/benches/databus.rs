@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use li_databus::{BootstrapServer, LogShippingAdapter, Relay, ServerFilter, Window};
+use li_databus::{BootstrapServer, LogShippingAdapter, Relay, ServerFilter, Window, WindowView};
 use li_sqlstore::{BinlogEntry, Database, Op, Row, RowChange, RowKey};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -116,7 +116,9 @@ fn bench_consolidated_delta(c: &mut Criterion) {
     group.bench_function("consolidated_delta", |b| {
         b.iter(|| black_box(bootstrap.consolidated_delta(0, &ServerFilter::all())))
     });
-    // The replay alternative: a consumer applying every raw event.
+    // The replay alternative: a consumer applying every raw event. It
+    // receives each window as an owned copy, the in-process stand-in for
+    // shipping every raw event to the consumer.
     let relay = Relay::new("primary", usize::MAX);
     for scn in 1..=UPDATES {
         relay.ingest(window(scn, HOT_KEYS, 64)).unwrap();
@@ -124,7 +126,12 @@ fn bench_consolidated_delta(c: &mut Criterion) {
     group.bench_function("full_replay", |b| {
         b.iter(|| {
             let mut state = std::collections::HashMap::new();
-            let windows = relay.events_after(0, usize::MAX, &ServerFilter::all()).unwrap();
+            let windows: Vec<Window> = relay
+                .events_after(0, usize::MAX, &ServerFilter::all())
+                .unwrap()
+                .into_iter()
+                .map(WindowView::into_window)
+                .collect();
             for w in &windows {
                 for ch in &w.changes {
                     match &ch.op {

@@ -7,10 +7,11 @@
 //!
 //! Two serving paths over the same buffered stream:
 //!
-//! * **copy** — `Relay::events_after`: the legacy eager path, which
-//!   materializes an owned `Window` clone (per-change table/key
+//! * **copy** — `Relay::events_after` followed by
+//!   `WindowView::into_window` on every served view: the eager baseline,
+//!   which materializes an owned `Window` clone (per-change table/key
 //!   allocations) for every window, for every consumer, every poll.
-//! * **zero_copy** — `Relay::events_after_shared`: `Arc`-shared frozen
+//! * **zero_copy** — `Relay::events_after` as served: `Arc`-shared frozen
 //!   windows; an unfiltered consumer does zero per-change work, a filtered
 //!   consumer skips non-matching windows in O(1) via the ingest-time
 //!   filter summary.
@@ -22,7 +23,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use li_databus::{Relay, ServerFilter, Window};
+use li_databus::{Relay, ServerFilter, Window, WindowView};
 use li_sqlstore::{Op, Row, RowChange, RowKey};
 use std::hint::black_box;
 
@@ -80,10 +81,13 @@ fn bench_fanout(c: &mut Criterion) {
                     b.iter(|| {
                         let mut served = 0usize;
                         for _ in 0..consumers {
-                            served += black_box(
-                                relay.events_after(0, usize::MAX, &filter).unwrap(),
-                            )
-                            .len();
+                            let windows: Vec<Window> = relay
+                                .events_after(0, usize::MAX, &filter)
+                                .unwrap()
+                                .into_iter()
+                                .map(WindowView::into_window)
+                                .collect();
+                            served += black_box(windows).len();
                         }
                         served
                     })
@@ -96,10 +100,9 @@ fn bench_fanout(c: &mut Criterion) {
                     b.iter(|| {
                         let mut served = 0usize;
                         for _ in 0..consumers {
-                            served += black_box(
-                                relay.events_after_shared(0, usize::MAX, &filter).unwrap(),
-                            )
-                            .len();
+                            served +=
+                                black_box(relay.events_after(0, usize::MAX, &filter).unwrap())
+                                    .len();
                         }
                         served
                     })

@@ -18,7 +18,7 @@ use li_kafka::baseline::TraditionalMq;
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::{MirrorMaker, WarehouseLoader};
 use li_kafka::net::{transfer, TransferMode};
-use li_kafka::{KafkaCluster, MessageSet, Producer, SimpleConsumer};
+use li_kafka::{AckMode, KafkaCluster, MessageSet, Producer, SimpleConsumer};
 use li_workload::events::activity_batch;
 use li_workload::zipf::Zipfian;
 use rand::SeedableRng;
@@ -73,8 +73,9 @@ fn bench_vs_traditional_mq(c: &mut Criterion) {
             let topic = format!("t{next_topic}");
             next_topic += 1;
             cluster.create_topic(&topic, 1).unwrap();
-            let broker = cluster.broker_for(&topic, 0).unwrap();
-            broker.produce(&topic, 0, &set).unwrap();
+            cluster
+                .produce_with_ack(&topic, 0, &set, AckMode::Leader)
+                .unwrap();
             // 3 independent subscribers: zero broker-side state, each just
             // reads the log.
             let mut seen = 0;

@@ -7,7 +7,7 @@
 //!
 //! * **copy path** — the legacy per-message decode (`Message::decode_at`):
 //!   CRC-validate every frame and copy every payload into a fresh
-//!   allocation, exactly what `PartitionLog::read` did before the chunk
+//!   allocation, exactly what the log's read path did before the chunk
 //!   API existed.
 //! * **zero-copy path** — `Broker::fetch_chunks` + the lazy `FetchChunk`
 //!   iterator: structural frame walk, payloads alias segment memory; plus

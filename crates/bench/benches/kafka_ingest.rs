@@ -5,10 +5,13 @@
 //! of every store. Concurrent producers hit a 3-broker replicated
 //! cluster two ways:
 //!
-//! * **legacy** — `KafkaCluster::produce`: every producer takes the
-//!   partition log lock itself, one append + one flush check + one
-//!   wakeup per request (the Leader-ack contract).
-//! * **grouped** — `KafkaCluster::produce_with_ack`: producers
+//! * **legacy** — `KafkaCluster::produce_with_ack` at `AckMode::Leader`
+//!   on a `ShardMode::Deterministic` cluster: the deterministic queue
+//!   commits exactly one produce per append and serializes its drainers,
+//!   so every request pays its own append + flush check + wakeup — the
+//!   one-append-per-produce sequence.
+//! * **grouped** — `KafkaCluster::produce_with_ack` on a
+//!   `ShardMode::Parallel` cluster: producers
 //!   enqueue pre-encoded frame groups into the partition's
 //!   [`GroupQueue`]; one drainer commits every pending group with a
 //!   single log-lock acquisition (`append_frames_multi`), and for
@@ -64,11 +67,11 @@ fn ack_label(ack: AckMode) -> &'static str {
     }
 }
 
-fn fresh_cluster(partitions: u32) -> Arc<KafkaCluster> {
+fn fresh_cluster(partitions: u32, mode: ShardMode) -> Arc<KafkaCluster> {
     let config = LogConfig {
         // Flush-per-request durability with a modeled stable-storage
-        // latency: this is the regime group commit exists for. Legacy
-        // produce pays the flush on every request; the grouped drainer
+        // latency: this is the regime group commit exists for. The legacy
+        // leg pays the flush on every request; the grouped drainer
         // pays it once per commit group — and because the "fsync" sleep
         // yields the CPU, producers queue behind it and groups actually
         // form, even on a single-core host.
@@ -82,7 +85,7 @@ fn fresh_cluster(partitions: u32) -> Arc<KafkaCluster> {
         config,
         Arc::new(RealClock::new()),
         &MetricsRegistry::new(),
-        ShardMode::Parallel,
+        mode,
     )
     .unwrap();
     rc.create_replicated_topic("ingest", partitions, 3).unwrap();
@@ -99,14 +102,20 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
 
 /// Runs one matrix cell: `producers` threads each publish batches of
 /// `batch` messages round-robin over `partitions`, through either the
-/// grouped queue (`Some(ack)`) or the legacy per-request path (`None`).
+/// grouped queue (`Some(ack)`) or the legacy one-append-per-produce path
+/// (`None`: a Deterministic cluster at Leader ack).
 fn run_cell(
     producers: usize,
     batch: usize,
     partitions: u32,
     ack: Option<AckMode>,
 ) -> CellResult {
-    let rc = fresh_cluster(partitions);
+    let mode = match ack {
+        Some(_) => ShardMode::Parallel,
+        None => ShardMode::Deterministic,
+    };
+    let ack = ack.unwrap_or(AckMode::Leader);
+    let rc = fresh_cluster(partitions, mode);
     let batches_per_producer = (TARGET_MESSAGES / (producers * batch)).max(1);
     let messages = producers * batches_per_producer * batch;
 
@@ -123,14 +132,7 @@ fn run_cell(
                         .collect();
                     let set = MessageSet::from_payloads(payloads);
                     let call = Instant::now();
-                    match ack {
-                        Some(ack) => {
-                            rc.produce_with_ack("ingest", partition, &set, ack).unwrap();
-                        }
-                        None => {
-                            rc.produce("ingest", partition, &set).unwrap();
-                        }
-                    }
+                    rc.produce_with_ack("ingest", partition, &set, ack).unwrap();
                     latencies.push(call.elapsed().as_nanos() as u64);
                 }
                 latencies

@@ -249,7 +249,7 @@ impl DatabusClient {
         let checkpoint = self.checkpoint();
         match self
             .relay
-            .events_after_shared(checkpoint, self.batch_windows, &self.filter)
+            .events_after(checkpoint, self.batch_windows, &self.filter)
         {
             Ok(views) => {
                 // Shared views deref to `&Window`: an unfiltered consumer

@@ -208,7 +208,7 @@ impl WindowView {
         }
     }
 
-    /// Materializes an owned window (legacy eager API).
+    /// Materializes an owned window (an eager copy of a shared view).
     pub fn into_window(self) -> Window {
         match self {
             WindowView::Shared(shared) => shared.window().clone(),

@@ -339,24 +339,7 @@ impl Relay {
         self.buffer.lock().bytes
     }
 
-    /// Serves up to `max_windows` windows with `scn > after_scn`, filtered
-    /// server-side. Legacy eager adapter over [`Relay::events_after_shared`]
-    /// — materializes an owned clone per window; prefer the shared-view
-    /// path for anything hot.
-    pub fn events_after(
-        &self,
-        after_scn: Scn,
-        max_windows: usize,
-        filter: &ServerFilter,
-    ) -> Result<Vec<Window>, RelayError> {
-        Ok(self
-            .events_after_shared(after_scn, max_windows, filter)?
-            .into_iter()
-            .map(WindowView::into_window)
-            .collect())
-    }
-
-    /// The default (hot) serving path: up to `max_windows` windows with
+    /// The serving path: up to `max_windows` windows with
     /// `scn > after_scn`, filtered server-side, as zero-copy views.
     ///
     /// The buffer lock is held only long enough to locate the
@@ -371,7 +354,7 @@ impl Relay {
     /// buffer: the client has fallen behind and must bootstrap — serving it
     /// from here would require going back to the source database, which the
     /// relay exists to isolate.
-    pub fn events_after_shared(
+    pub fn events_after(
         &self,
         after_scn: Scn,
         max_windows: usize,
@@ -437,7 +420,7 @@ impl Relay {
     /// windows. Returns windows linked.
     pub fn chain_from(&self, upstream: &Relay) -> Result<usize, RelayError> {
         let have = self.newest_scn();
-        let views = upstream.events_after_shared(have, usize::MAX, &ServerFilter::all())?;
+        let views = upstream.events_after(have, usize::MAX, &ServerFilter::all())?;
         self.ingest_shared_batch(
             views
                 .into_iter()
@@ -740,8 +723,8 @@ mod tests {
                 }],
             })
             .unwrap();
-        let a = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap();
-        let b = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap();
+        let a = relay.events_after(0, 10, &ServerFilter::all()).unwrap();
+        let b = relay.events_after(0, 10, &ServerFilter::all()).unwrap();
         assert!(a[0].is_shared() && b[0].is_shared());
         let (WindowView::Shared(sa), WindowView::Shared(sb)) = (&a[0], &b[0]) else {
             unreachable!()
@@ -759,14 +742,14 @@ mod tests {
         let relay = Relay::new("primary", 1 << 20);
         relay.ingest(window(1, 10)).unwrap(); // table "member"
         let filter = ServerFilter::for_tables(["company"]);
-        let got = relay.events_after_shared(0, 10, &filter).unwrap();
+        let got = relay.events_after(0, 10, &filter).unwrap();
         assert_eq!(got.len(), 1);
         assert!(!got[0].is_shared(), "summary-skip produces an owned empty view");
         assert!(got[0].is_empty());
         assert_eq!(got[0].scn, 1, "scn preserved for checkpointing");
         // A filter that matches everything in the window stays shared.
         let all_match = ServerFilter::for_tables(["member"]);
-        let got = relay.events_after_shared(0, 10, &all_match).unwrap();
+        let got = relay.events_after(0, 10, &all_match).unwrap();
         assert!(got[0].is_shared(), "all-match trim is the identity");
     }
 
@@ -801,9 +784,7 @@ mod tests {
         let b = replica_relay.events_after(0, 100, &ServerFilter::all()).unwrap();
         assert_eq!(a, b);
         // Zero-copy chaining: both buffers hold the same frozen windows.
-        let av = primary_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
-        let bv = replica_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
-        for (x, y) in av.iter().zip(&bv) {
+        for (x, y) in a.iter().zip(&b) {
             let (WindowView::Shared(x), WindowView::Shared(y)) = (x, y) else {
                 unreachable!()
             };

@@ -66,7 +66,7 @@ impl GlobalIndex {
             let relay = self.cluster.relay(node)?;
             let checkpoint = *self.checkpoints.lock().get(&node).unwrap_or(&0);
             let windows = relay
-                .events_after_shared(checkpoint, usize::MAX, &filter)
+                .events_after(checkpoint, usize::MAX, &filter)
                 .map_err(|e| EspressoError::Replication(e.to_string()))?;
             for window in &windows {
                 for change in &window.changes {

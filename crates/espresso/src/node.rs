@@ -477,7 +477,7 @@ impl StorageNode {
         // Shared views: matching windows are read in place from the relay
         // buffer; only partially-matching windows are trimmed into copies.
         let windows = source_relay
-            .events_after_shared(checkpoint, usize::MAX, &filter)
+            .events_after(checkpoint, usize::MAX, &filter)
             .map_err(|e| EspressoError::Replication(e.to_string()))?;
         let mut applied = 0;
         for window in &windows {

@@ -22,7 +22,7 @@ use li_commons::sim::Clock;
 
 use crate::ingest::GroupFrames;
 use crate::log::{LogConfig, PartitionLog};
-use crate::message::{FetchChunk, KafkaError, Message, MessageSet};
+use crate::message::{FetchChunk, KafkaError};
 
 /// Index stripes per broker in [`ShardMode::Parallel`].
 const INDEX_STRIPES: usize = 16;
@@ -156,58 +156,6 @@ impl Broker {
         Ok(self.entry(topic, partition)?.log)
     }
 
-    /// Appends one (possibly wrapper) message; returns its offset.
-    pub fn produce_message(
-        &self,
-        topic: &str,
-        partition: u32,
-        message: &Message,
-    ) -> Result<u64, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let offset = entry.log.append(message);
-        self.metrics.produce_messages.inc();
-        self.metrics.bytes_in.add(message.payload.len() as u64);
-        entry.log_end.set(entry.log.log_end() as i64);
-        Ok(offset)
-    }
-
-    /// Appends every message of a set under **one** log lock acquisition
-    /// (the set is encoded into a single buffer first); returns the first
-    /// offset.
-    pub fn produce(
-        &self,
-        topic: &str,
-        partition: u32,
-        set: &MessageSet,
-    ) -> Result<u64, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let first = entry.log.append_set(set);
-        self.metrics.produce_messages.add(set.messages.len() as u64);
-        self.metrics.bytes_in.add(set.payload_bytes() as u64);
-        entry.log_end.set(entry.log.log_end() as i64);
-        Ok(first)
-    }
-
-    /// Appends an already-encoded message set (a producer wire buffer, a
-    /// mirrored or replicated chunk) verbatim, without decoding it —
-    /// `messages` and `payload_bytes` are the caller's accounting for the
-    /// buffer. Returns the base offset.
-    pub fn produce_frames(
-        &self,
-        topic: &str,
-        partition: u32,
-        frames: &[u8],
-        messages: u64,
-        payload_bytes: usize,
-    ) -> Result<u64, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let first = entry.log.append_frames(frames)?;
-        self.metrics.produce_messages.add(messages);
-        self.metrics.bytes_in.add(payload_bytes as u64);
-        entry.log_end.set(entry.log.log_end() as i64);
-        Ok(first)
-    }
-
     /// Appends a drained batch of frame groups to the hosted partition
     /// log under **one** lock acquisition (`append_frames_multi`), then
     /// updates produce metrics and the `log_end` gauge once — the
@@ -233,28 +181,6 @@ impl Broker {
         self.metrics.groups_per_commit.record(groups.len() as u64);
         entry.log_end.set(entry.log.log_end() as i64);
         Ok(base)
-    }
-
-    /// Pull fetch: raw stored messages from `offset`, bounded by
-    /// `max_bytes`. The consumer unwraps compression.
-    ///
-    /// Thin adapter over [`Broker::fetch_chunks`]; payloads of the decoded
-    /// messages still alias segment memory.
-    pub fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max_bytes: usize,
-    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
-        let (chunks, next) = self.fetch_chunks(topic, partition, offset, max_bytes)?;
-        let mut messages = Vec::new();
-        for chunk in &chunks {
-            for item in chunk {
-                messages.push(item?);
-            }
-        }
-        Ok((messages, next))
     }
 
     /// Zero-copy pull fetch: frame-aligned [`FetchChunk`] views of the
@@ -332,10 +258,43 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{Message, MessageSet};
     use li_commons::sim::SimClock;
 
     fn broker() -> Broker {
         Broker::new(0, LogConfig::default(), Arc::new(SimClock::new()))
+    }
+
+    /// Appends `set` to the hosted partition as one frame group.
+    fn produce_set(
+        b: &Broker,
+        topic: &str,
+        partition: u32,
+        set: &MessageSet,
+    ) -> Result<u64, KafkaError> {
+        let frames = set.encode();
+        let group = GroupFrames {
+            frames: &frames,
+            messages: set.messages.len() as u64,
+            payload_bytes: set.payload_bytes() as u64,
+        };
+        b.append_groups_local(topic, partition, &[group])
+    }
+
+    /// `fetch_chunks`, decoded: `(messages_with_offsets, next_offset)`.
+    fn fetch_decoded(
+        b: &Broker,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+        max_bytes: usize,
+    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
+        let (chunks, next) = b.fetch_chunks(topic, partition, offset, max_bytes)?;
+        let mut messages = Vec::new();
+        for chunk in &chunks {
+            messages.extend(chunk.decode()?);
+        }
+        Ok((messages, next))
     }
 
     #[test]
@@ -343,9 +302,9 @@ mod tests {
         let b = broker();
         b.create_partition("events", 0);
         let set = MessageSet::from_payloads(["a", "b", "c"]);
-        let first = b.produce("events", 0, &set).unwrap();
+        let first = produce_set(&b, "events", 0, &set).unwrap();
         assert_eq!(first, 0);
-        let (messages, next) = b.fetch("events", 0, 0, usize::MAX).unwrap();
+        let (messages, next) = fetch_decoded(&b, "events", 0, 0, usize::MAX).unwrap();
         assert_eq!(messages.len(), 3);
         assert!(next > 0);
     }
@@ -354,21 +313,19 @@ mod tests {
     fn unknown_partition_rejected() {
         let b = broker();
         assert!(matches!(
-            b.fetch("nope", 0, 0, 100),
+            fetch_decoded(&b, "nope", 0, 0, 100),
             Err(KafkaError::UnknownTopicPartition(_, 0))
         ));
-        assert!(b
-            .produce("nope", 0, &MessageSet::from_payloads(["x"]))
-            .is_err());
+        assert!(produce_set(&b, "nope", 0, &MessageSet::from_payloads(["x"])).is_err());
     }
 
     #[test]
     fn create_partition_idempotent() {
         let b = broker();
         b.create_partition("t", 0);
-        b.produce("t", 0, &MessageSet::from_payloads(["x"])).unwrap();
+        produce_set(&b, "t", 0, &MessageSet::from_payloads(["x"])).unwrap();
         b.create_partition("t", 0); // must not wipe the log
-        let (messages, _) = b.fetch("t", 0, 0, usize::MAX).unwrap();
+        let (messages, _) = fetch_decoded(&b, "t", 0, 0, usize::MAX).unwrap();
         assert_eq!(messages.len(), 1);
     }
 
@@ -377,9 +334,12 @@ mod tests {
         let b = broker();
         b.create_partition("t", 0);
         b.create_partition("t", 1);
-        b.produce("t", 0, &MessageSet::from_payloads(["only in 0"])).unwrap();
-        assert_eq!(b.fetch("t", 0, 0, usize::MAX).unwrap().0.len(), 1);
-        assert!(b.fetch("t", 1, 0, usize::MAX).unwrap().0.is_empty());
+        produce_set(&b, "t", 0, &MessageSet::from_payloads(["only in 0"])).unwrap();
+        assert_eq!(fetch_decoded(&b, "t", 0, 0, usize::MAX).unwrap().0.len(), 1);
+        assert!(fetch_decoded(&b, "t", 1, 0, usize::MAX)
+            .unwrap()
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -395,8 +355,7 @@ mod tests {
         let guard = b.logs.lock(&("t", 0u32));
         let b2 = b.clone();
         let h = std::thread::spawn(move || {
-            b2.produce("t", other, &MessageSet::from_payloads(["x"]))
-                .unwrap()
+            produce_set(&b2, "t", other, &MessageSet::from_payloads(["x"])).unwrap()
         });
         assert_eq!(h.join().unwrap(), 0);
         drop(guard);

@@ -9,6 +9,7 @@
 //! leader log. The replication protocol itself (follower catch-up, broker
 //! failure and recovery, leader election) lives in [`crate::replication`].
 
+use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use li_zk::{CreateMode, Session, ZooKeeper};
 use crate::broker::Broker;
 use crate::ingest::{AckMode, GroupFrames, GroupQueue, IngestSink, ProduceReceipt};
 use crate::log::LogConfig;
-use crate::message::{FetchChunk, KafkaError, Message, MessageSet};
+use crate::message::{FetchChunk, KafkaError, MessageSet};
 
 /// Which brokers hold a partition, and which of them are in sync.
 #[derive(Debug, Clone)]
@@ -103,8 +104,9 @@ impl KafkaCluster {
 
     /// [`KafkaCluster::with_metrics`] with an explicit shard mode for the
     /// brokers' index striping and the partitions' group-commit queues.
-    /// [`ShardMode::Deterministic`] makes produce sequencing byte-identical
-    /// to the legacy one-append-per-produce path — the chaos harness twin.
+    /// [`ShardMode::Deterministic`] commits one produce call per log append,
+    /// byte-identical to one [`crate::log::PartitionLog::append_frames`]
+    /// per produce — the chaos harness twin.
     pub fn with_shard_mode(
         broker_count: u16,
         config: LogConfig,
@@ -299,19 +301,6 @@ impl KafkaCluster {
         Ok(&self.brokers[leader as usize])
     }
 
-    /// Per-request produce: appends the set to the partition's leader
-    /// under its own log-lock acquisition, with the [`AckMode::Leader`]
-    /// contract. Fails while the leader is down.
-    pub fn produce(
-        &self,
-        topic: &str,
-        partition: u32,
-        set: &MessageSet,
-    ) -> Result<u64, KafkaError> {
-        let leader = self.leader_of(topic, partition)?;
-        self.live_leader(topic, partition, leader)?.produce(topic, partition, set)
-    }
-
     /// Group-commit produce of an already-encoded frame group: enqueues it
     /// into the partition's [`GroupQueue`] and drives the drainer protocol
     /// — `N` concurrent producers on one partition cost one leader-log
@@ -329,7 +318,7 @@ impl KafkaCluster {
         &self,
         topic: &str,
         partition: u32,
-        frames: Vec<u8>,
+        frames: Bytes,
         messages: u64,
         payload_bytes: usize,
         ack: AckMode,
@@ -359,7 +348,7 @@ impl KafkaCluster {
         self.produce_frames_grouped(
             topic,
             partition,
-            set.encode(),
+            set.encode().into(),
             messages,
             set.payload_bytes(),
             ack,
@@ -460,25 +449,6 @@ impl KafkaCluster {
         Ok((chunks, next))
     }
 
-    /// [`KafkaCluster::fetch_chunks`], eagerly decoded into raw stored
-    /// messages (payloads still alias segment memory).
-    pub fn fetch_committed(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max_bytes: usize,
-    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
-        let (chunks, next) = self.fetch_chunks(topic, partition, offset, max_bytes)?;
-        let mut messages = Vec::new();
-        for chunk in &chunks {
-            for item in chunk {
-                messages.push(item?);
-            }
-        }
-        Ok((messages, next))
-    }
-
     /// All brokers.
     pub fn brokers(&self) -> &[Arc<Broker>] {
         &self.brokers
@@ -502,9 +472,8 @@ impl KafkaCluster {
 /// The one [`IngestSink`]: a drained batch appends to whoever *currently*
 /// leads the partition (one lock acquisition via the leader broker's
 /// group append), and a FullIsr ship pushes the leader's bytes to every
-/// live follower once per batch. A downed leader fails the whole batch —
-/// every waiting producer sees the error, exactly like the per-request
-/// [`KafkaCluster::produce`].
+/// live follower once per batch. A downed leader fails the whole batch:
+/// every waiting producer sees the error and nothing is appended.
 struct PartitionSink<'a> {
     cluster: &'a KafkaCluster,
     topic: &'a str,
@@ -573,16 +542,19 @@ mod tests {
         let cluster = KafkaCluster::new(2).unwrap();
         cluster.create_topic("t", 2).unwrap();
         cluster
+            .produce_with_ack(
+                "t",
+                1,
+                &MessageSet::from_payloads(["hello"]),
+                AckMode::Leader,
+            )
+            .unwrap();
+        let (chunks, _) = cluster
             .broker_for("t", 1)
             .unwrap()
-            .produce("t", 1, &MessageSet::from_payloads(["hello"]))
+            .fetch_chunks("t", 1, 0, usize::MAX)
             .unwrap();
-        let (messages, _) = cluster
-            .broker_for("t", 1)
-            .unwrap()
-            .fetch("t", 1, 0, usize::MAX)
-            .unwrap();
-        assert_eq!(messages.len(), 1);
+        assert_eq!(chunks.iter().map(|c| c.messages).sum::<u64>(), 1);
     }
 
     #[test]
@@ -594,11 +566,9 @@ mod tests {
             let set = MessageSet::from_payloads([format!("m-{i}")]);
             let frames = set.encode();
             let payload = set.payload_bytes();
-            let offset = legacy
-                .produce_frames("t", 0, &frames, 1, payload)
-                .unwrap();
+            let offset = legacy.log("t", 0).unwrap().append_frames(&frames).unwrap();
             let receipt = grouped
-                .produce_frames_grouped("t", 0, frames, 1, payload, AckMode::Leader)
+                .produce_frames_grouped("t", 0, frames.into(), 1, payload, AckMode::Leader)
                 .unwrap();
             assert_eq!(receipt.base_offset, Some(offset));
         }
@@ -614,20 +584,23 @@ mod tests {
     fn grouped_produce_none_ack_lands_after_flush_ingest() {
         let b = single();
         let set = MessageSet::from_payloads(["fire"]);
+        let frames = set.encode().into();
         let receipt = b
-            .produce_frames_grouped("t", 0, set.encode(), 1, set.payload_bytes(), AckMode::None)
+            .produce_frames_grouped("t", 0, frames, 1, set.payload_bytes(), AckMode::None)
             .unwrap();
         assert_eq!(receipt.base_offset, None);
         b.flush_ingest();
-        assert_eq!(b.fetch_committed("t", 0, 0, usize::MAX).unwrap().0.len(), 1);
+        let mut consumer = crate::SimpleConsumer::new(b, "t", 0).unwrap();
+        assert_eq!(consumer.poll().unwrap().len(), 1);
     }
 
     #[test]
     fn full_isr_on_unreplicated_topic_acks_at_the_leader_offset() {
         let b = single();
         let set = MessageSet::from_payloads(["x"]);
+        let frames = set.encode().into();
         let receipt = b
-            .produce_frames_grouped("t", 0, set.encode(), 1, set.payload_bytes(), AckMode::FullIsr)
+            .produce_frames_grouped("t", 0, frames, 1, set.payload_bytes(), AckMode::FullIsr)
             .unwrap();
         assert_eq!(receipt.base_offset, Some(0));
     }

@@ -23,8 +23,9 @@ pub struct SimpleConsumer {
     offset: u64,
     max_bytes: usize,
     /// First-class consumer lag (`kafka.consumer.<topic>.<partition>.lag`):
-    /// log-end offset minus this consumer's position, refreshed on every
-    /// poll/seek.
+    /// the partition's high watermark minus this consumer's position, so
+    /// it counts only bytes the consumer could fetch now. Refreshed on
+    /// every poll/seek.
     lag: Gauge,
 }
 
@@ -51,10 +52,8 @@ impl SimpleConsumer {
     }
 
     fn refresh_lag(&self) {
-        if let Ok(broker) = self.cluster.broker_for(&self.topic, self.partition) {
-            if let Ok(log) = broker.log(&self.topic, self.partition) {
-                self.lag.set(log.log_end().saturating_sub(self.offset) as i64);
-            }
+        if let Ok(hw) = self.cluster.high_watermark(&self.topic, self.partition) {
+            self.lag.set(hw.saturating_sub(self.offset) as i64);
         }
     }
 
@@ -205,6 +204,7 @@ impl Iterator for MessageStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::AckMode;
     use crate::message::MessageSet;
 
     fn cluster_with_topic() -> Arc<KafkaCluster> {
@@ -214,10 +214,9 @@ mod tests {
     }
 
     fn produce(cluster: &Arc<KafkaCluster>, payloads: &[&str]) {
+        let set = MessageSet::from_payloads(payloads.iter().map(|s| s.to_string()));
         cluster
-            .broker_for("t", 0)
-            .unwrap()
-            .produce("t", 0, &MessageSet::from_payloads(payloads.iter().map(|s| s.to_string())))
+            .produce_with_ack("t", 0, &set, AckMode::Leader)
             .unwrap();
     }
 
@@ -275,10 +274,11 @@ mod tests {
         let cluster = cluster_with_topic();
         let set = MessageSet::from_payloads((0..50).map(|i| format!("event {i} event")));
         let wrapper = set.compressed();
+        let set = MessageSet {
+            messages: vec![wrapper],
+        };
         cluster
-            .broker_for("t", 0)
-            .unwrap()
-            .produce_message("t", 0, &wrapper)
+            .produce_with_ack("t", 0, &set, AckMode::Leader)
             .unwrap();
         let mut consumer = SimpleConsumer::new(cluster, "t", 0).unwrap();
         let batch = consumer.poll().unwrap();
@@ -343,15 +343,37 @@ mod tests {
     }
 
     fn produce_n(cluster: &Arc<crate::cluster::KafkaCluster>, n: usize) {
+        let set = MessageSet::from_payloads((0..n).map(|i| format!("m{i}")));
         cluster
+            .produce_with_ack("t", 0, &set, AckMode::Leader)
+            .unwrap();
+    }
+
+    #[test]
+    fn lag_counts_only_committed_bytes() {
+        // RF=3, Leader acks, no replication pump: the leader holds the
+        // bytes but the high watermark stays at 0, so a consumer that has
+        // fetched everything it can is not lagging.
+        let cluster = KafkaCluster::new(3).unwrap();
+        cluster.create_replicated_topic("t", 1, 3).unwrap();
+        produce(&cluster, &["a", "b", "c"]);
+        let leader_end = cluster
             .broker_for("t", 0)
             .unwrap()
-            .produce(
-                "t",
-                0,
-                &MessageSet::from_payloads((0..n).map(|i| format!("m{i}"))),
-            )
-            .unwrap();
+            .log("t", 0)
+            .unwrap()
+            .log_end();
+        assert!(leader_end > 0);
+        assert_eq!(cluster.high_watermark("t", 0).unwrap(), 0);
+        let mut consumer = SimpleConsumer::new(cluster.clone(), "t", 0).unwrap();
+        assert!(consumer.poll().unwrap().is_empty(), "nothing committed yet");
+        let lag = cluster.metrics().snapshot().gauge("kafka.consumer.t.0.lag");
+        assert_eq!(lag, Some(0));
+        // Once replicated the bytes are fetchable, hence lag.
+        cluster.replicate().unwrap();
+        consumer.seek(0);
+        let lag = cluster.metrics().snapshot().gauge("kafka.consumer.t.0.lag");
+        assert_eq!(lag, Some(leader_end as i64));
     }
 
     #[test]

@@ -227,6 +227,7 @@ impl GroupConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::AckMode;
     use crate::message::MessageSet;
 
     fn cluster_with(partitions: u32) -> Arc<KafkaCluster> {
@@ -236,10 +237,9 @@ mod tests {
     }
 
     fn produce_to(cluster: &Arc<KafkaCluster>, partition: u32, payloads: &[String]) {
+        let set = MessageSet::from_payloads(payloads.to_vec());
         cluster
-            .broker_for("t", partition)
-            .unwrap()
-            .produce("t", partition, &MessageSet::from_payloads(payloads.to_vec()))
+            .produce_with_ack("t", partition, &set, AckMode::Leader)
             .unwrap();
     }
 

@@ -38,10 +38,12 @@
 //! [`ShardMode::Deterministic`] twin: a deterministic queue commits
 //! exactly one group per append (no cross-producer batching, drainers
 //! fully serialized), which makes its lock/flush/wakeup sequence — and
-//! therefore the log bytes and any seeded chaos trace — identical to the
-//! legacy one-append-per-produce path. `tests/kafka_ingest_props.rs` pins
-//! grouped ≡ legacy log bytes in both modes.
+//! therefore the log bytes and any seeded chaos trace — identical to one
+//! `PartitionLog::append_frames` per produce call.
+//! `tests/kafka_ingest_props.rs` pins grouped ≡ that oracle's log bytes
+//! in both modes.
 
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,10 +62,9 @@ pub enum AckMode {
     /// drainer (enqueue never silently drops), but the caller learns
     /// neither the offset nor about append failures.
     None,
-    /// Ack after the leader's local append — the legacy produce contract,
-    /// and the default. Survives everything except a leader crash before
-    /// the next replication ship (the bounded "unshipped tail" loss the
-    /// chaos suite measures).
+    /// Ack after the leader's local append, and the default. Survives
+    /// everything except a leader crash before the next replication ship
+    /// (the bounded "unshipped tail" loss the chaos suite measures).
     #[default]
     Leader,
     /// Ack only after every in-sync replica holds the bytes. A
@@ -174,7 +175,7 @@ impl GroupSlot {
 
 /// A group waiting in the queue for a drainer.
 struct PendingGroup {
-    frames: Vec<u8>,
+    frames: Bytes,
     messages: u64,
     payload_bytes: u64,
     ack: AckMode,
@@ -251,7 +252,7 @@ impl GroupQueue {
     pub fn produce(
         &self,
         sink: &dyn IngestSink,
-        frames: Vec<u8>,
+        frames: Bytes,
         messages: u64,
         payload_bytes: u64,
         ack: AckMode,
@@ -302,8 +303,8 @@ impl GroupQueue {
     ///
     /// Parallel mode claims every pending group per iteration — the group
     /// commit. Deterministic mode claims exactly one group per iteration
-    /// and fully serializes drainers, reproducing the legacy
-    /// one-append-per-produce lock/flush sequence byte for byte.
+    /// and fully serializes drainers, reproducing the one-append-per-produce
+    /// lock/flush sequence byte for byte.
     pub fn drain_with(&self, sink: &dyn IngestSink) -> DrainStats {
         let mut stats = DrainStats::default();
         let mut inner = self.inner.lock();
@@ -459,8 +460,10 @@ mod tests {
         }
     }
 
-    fn encode(payloads: &[&str]) -> Vec<u8> {
-        MessageSet::from_payloads(payloads.iter().map(|p| p.as_bytes().to_vec())).encode()
+    fn encode(payloads: &[&str]) -> Bytes {
+        MessageSet::from_payloads(payloads.iter().map(|p| p.as_bytes().to_vec()))
+            .encode()
+            .into()
     }
 
     #[test]
@@ -485,7 +488,7 @@ mod tests {
         let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
         let sink = LogSink::new();
         let receipt = queue
-            .produce(&sink, Vec::new(), 0, 0, AckMode::Leader)
+            .produce(&sink, Bytes::new(), 0, 0, AckMode::Leader)
             .unwrap();
         assert_eq!(receipt.base_offset, Some(0));
         assert_eq!(sink.log.log_end(), 0);
@@ -495,7 +498,7 @@ mod tests {
             .unwrap();
         let end = sink.log.log_end();
         let receipt = queue
-            .produce(&sink, Vec::new(), 0, 0, AckMode::Leader)
+            .produce(&sink, Bytes::new(), 0, 0, AckMode::Leader)
             .unwrap();
         assert_eq!(receipt.base_offset, Some(end));
     }
@@ -532,8 +535,8 @@ mod tests {
     fn torn_group_fails_its_producer_without_wedging_the_queue() {
         let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
         let sink = LogSink::new();
-        let mut torn = encode(&["torn"]);
-        torn.truncate(torn.len() - 1);
+        let torn = encode(&["torn"]);
+        let torn = torn.slice(..torn.len() - 1);
         let err = queue.produce(&sink, torn, 1, 4, AckMode::Leader);
         assert!(err.is_err());
         // Queue still serves the next producer.

@@ -32,6 +32,18 @@
 //! * **Baseline** ([`baseline`]) — a traditional message queue (per-message
 //!   ids, broker-side ack state) for the design-choice benchmarks.
 //!
+//! Each partition has one write path and one read path. Writes are
+//! encoded frames enqueued into the partition's group-commit queue
+//! ([`ingest`]) by [`KafkaCluster::produce_frames_grouped`] (or
+//! [`KafkaCluster::produce_with_ack`], which encodes a set first); a
+//! drained batch lands on the leader with one
+//! [`log::PartitionLog::append_frames_multi`]. Reads are zero-copy
+//! [`FetchChunk`] views from [`KafkaCluster::fetch_chunks`], which stops
+//! at the high watermark; [`SimpleConsumer::poll`] is the one eager
+//! decode on top. [`log::PartitionLog::append_frames`], one append per
+//! call, is what follower catch-up uses and the oracle the group-commit
+//! property tests compare against.
+//!
 //! ```
 //! use li_kafka::{KafkaCluster, Producer, SimpleConsumer};
 //!

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use li_commons::sim::Clock;
 
-use crate::message::{FetchChunk, KafkaError, Message, MessageSet};
+use crate::message::{FetchChunk, KafkaError};
 
 /// Log tuning knobs.
 #[derive(Debug, Clone)]
@@ -164,24 +164,6 @@ impl PartitionLog {
         }
     }
 
-    /// Appends one message, returning its logical offset. Visibility waits
-    /// for the flush policy.
-    pub fn append(&self, message: &Message) -> u64 {
-        let mut frames = Vec::with_capacity(message.framed_len());
-        message.encode(&mut frames);
-        self.append_frames(&frames)
-            .expect("freshly encoded frame is structurally valid")
-    }
-
-    /// Appends a whole message set under **one** lock acquisition,
-    /// returning the offset of its first message (== the log end when the
-    /// set is empty). The set is encoded once, outside the lock.
-    pub fn append_set(&self, set: &MessageSet) -> u64 {
-        let frames = set.encode();
-        self.append_frames(&frames)
-            .expect("freshly encoded set is structurally valid")
-    }
-
     /// Appends pre-framed messages (a producer wire buffer, a mirrored or
     /// replicated chunk) verbatim under one lock acquisition, returning
     /// the base offset. Frame structure is validated and messages are
@@ -203,10 +185,16 @@ impl PartitionLog {
     /// then all of them land in the log back-to-back with a single flush
     /// policy check at the end, so `N` concurrent producers cost one mutex
     /// round-trip, one flush, and one `data_ready` broadcast instead of
-    /// `N` of each. Byte content and the final visible end are identical
-    /// to appending the buffers sequentially; only mid-drain visibility
-    /// differs (intermediate flush points are skipped). Any torn buffer
-    /// rejects the whole group without mutating the log.
+    /// `N` of each. Byte content and offsets are identical to appending
+    /// the buffers sequentially; the visible end is not. The flush check
+    /// runs once over the whole batch's message count, so whenever a
+    /// sequential append would have flushed, the grouped append flushes
+    /// the *whole* batch: with `flush_interval_messages > 1` it can end
+    /// past the sequential visible end (at interval 10, a 10-message
+    /// buffer then a 3-message one leave sequential appends visible up to
+    /// the first buffer's end, the grouped append up to the second's).
+    /// With the default interval of 1 both end at the log end. Any torn
+    /// buffer rejects the whole group without mutating the log.
     pub fn append_frames_multi(&self, buffers: &[&[u8]]) -> Result<u64, KafkaError> {
         let mut messages = 0u64;
         for buffer in buffers {
@@ -402,30 +390,12 @@ impl PartitionLog {
         li_commons::fnv::fnv1a(&bytes)
     }
 
-    /// Reads messages starting at `offset`, up to `max_bytes` of framed
-    /// data ("each pull request contains the offset of the message from
-    /// which the consumption begins and a maximum number of bytes to
-    /// fetch"). Returns `(messages_with_offsets, next_offset)`.
+    /// Reads the messages starting at `offset`, up to `max_bytes` of
+    /// framed data ("each pull request contains the offset of the message
+    /// from which the consumption begins and a maximum number of bytes to
+    /// fetch"), as [`FetchChunk`] views; returns `(chunks, next_offset)`.
     ///
-    /// Thin adapter over [`PartitionLog::read_chunks`]: the returned
-    /// messages' payloads still alias segment memory, only the eager
-    /// decode is added.
-    pub fn read(
-        &self,
-        offset: u64,
-        max_bytes: usize,
-    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
-        let (chunks, next) = self.read_chunks(offset, max_bytes)?;
-        let mut out = Vec::new();
-        for chunk in &chunks {
-            for item in chunk {
-                out.push(item?);
-            }
-        }
-        Ok((out, next))
-    }
-
-    /// Chunk-based fetch, the zero-copy read path. Under a short lock
+    /// This is the zero-copy read path. Under a short lock
     /// hold this only *locates* the data — binary search for the segment,
     /// then for the frozen chunk holding `offset` — and snapshots cheap
     /// `Bytes` views clamped to the flush horizon. The lock is dropped
@@ -612,6 +582,7 @@ impl PartitionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{Message, MessageSet};
     use li_commons::sim::SimClock;
 
     fn log_with(config: LogConfig) -> (PartitionLog, SimClock) {
@@ -623,22 +594,47 @@ mod tests {
         Message::new(text.as_bytes().to_vec())
     }
 
+    /// Appends one message as its own frame buffer; returns its offset.
+    fn append_one(log: &PartitionLog, text: &str) -> u64 {
+        log.append_frames(
+            &MessageSet {
+                messages: vec![msg(text)],
+            }
+            .encode(),
+        )
+        .unwrap()
+    }
+
+    /// `read_chunks`, decoded: `(messages_with_offsets, next_offset)`.
+    fn read_decoded(
+        log: &PartitionLog,
+        offset: u64,
+        max_bytes: usize,
+    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
+        let (chunks, next) = log.read_chunks(offset, max_bytes)?;
+        let mut out = Vec::new();
+        for chunk in &chunks {
+            out.extend(chunk.decode()?);
+        }
+        Ok((out, next))
+    }
+
     #[test]
     fn append_read_round_trip_with_offsets() {
         let (log, _) = log_with(LogConfig::default());
-        let o1 = log.append(&msg("a"));
-        let o2 = log.append(&msg("bb"));
-        let o3 = log.append(&msg("ccc"));
+        let o1 = append_one(&log, "a");
+        let o2 = append_one(&log, "bb");
+        let o3 = append_one(&log, "ccc");
         assert_eq!(o1, 0);
         assert_eq!(o2, msg("a").framed_len() as u64);
         assert_eq!(o3, o2 + msg("bb").framed_len() as u64);
-        let (messages, next) = log.read(0, usize::MAX).unwrap();
+        let (messages, next) = read_decoded(&log, 0, usize::MAX).unwrap();
         assert_eq!(messages.len(), 3);
         assert_eq!(messages[1].0, o2);
         assert_eq!(messages[2].1.payload.as_ref(), b"ccc");
         assert_eq!(next, log.log_end());
         // Resume from the middle.
-        let (tail, _) = log.read(o2, usize::MAX).unwrap();
+        let (tail, _) = read_decoded(&log, o2, usize::MAX).unwrap();
         assert_eq!(tail.len(), 2);
     }
 
@@ -646,12 +642,12 @@ mod tests {
     fn max_bytes_bounds_the_fetch() {
         let (log, _) = log_with(LogConfig::default());
         for i in 0..100 {
-            log.append(&msg(&format!("event-{i}")));
+            append_one(&log, &format!("event-{i}"));
         }
-        let (messages, next) = log.read(0, 100).unwrap();
+        let (messages, next) = read_decoded(&log, 0, 100).unwrap();
         assert!(messages.len() < 100 && !messages.is_empty());
         // Continue from next.
-        let (more, _) = log.read(next, usize::MAX).unwrap();
+        let (more, _) = read_decoded(&log, next, usize::MAX).unwrap();
         assert_eq!(messages.len() + more.len(), 100);
     }
 
@@ -663,18 +659,18 @@ mod tests {
             ..LogConfig::default()
         });
         for _ in 0..5 {
-            log.append(&msg("x"));
+            append_one(&log, "x");
         }
         assert_eq!(log.visible_end(), 0);
-        let (messages, next) = log.read(0, usize::MAX).unwrap();
+        let (messages, next) = read_decoded(&log, 0, usize::MAX).unwrap();
         assert!(messages.is_empty());
         assert_eq!(next, 0);
         // 10th message triggers the count-based flush.
         for _ in 0..5 {
-            log.append(&msg("x"));
+            append_one(&log, "x");
         }
         assert_eq!(log.visible_end(), log.log_end());
-        assert_eq!(log.read(0, usize::MAX).unwrap().0.len(), 10);
+        assert_eq!(read_decoded(&log, 0, usize::MAX).unwrap().0.len(), 10);
     }
 
     #[test]
@@ -688,12 +684,12 @@ mod tests {
         // Three appends stay under the flush threshold: no latency paid.
         let started = std::time::Instant::now();
         for _ in 0..3 {
-            log.append(&msg("x"));
+            append_one(&log, "x");
         }
         assert!(started.elapsed() < Duration::from_millis(5));
         // The fourth append flushes once, sleeping at least the latency.
         let started = std::time::Instant::now();
-        log.append(&msg("x"));
+        append_one(&log, "x");
         assert!(started.elapsed() >= Duration::from_millis(5));
         assert_eq!(log.visible_end(), log.log_end());
     }
@@ -705,10 +701,10 @@ mod tests {
             flush_interval: Duration::from_millis(50),
             ..LogConfig::default()
         });
-        log.append(&msg("x"));
+        append_one(&log, "x");
         assert_eq!(log.visible_end(), 0);
         clock.advance(Duration::from_millis(60));
-        log.append(&msg("y")); // append past the interval flushes
+        append_one(&log, "y"); // append past the interval flushes
         assert_eq!(log.visible_end(), log.log_end());
     }
 
@@ -720,12 +716,12 @@ mod tests {
         });
         let mut offsets = Vec::new();
         for i in 0..50 {
-            offsets.push(log.append(&msg(&format!("event-{i}"))));
+            offsets.push(append_one(&log, &format!("event-{i}")));
         }
         assert!(log.segment_count() > 1);
         // Reads work across segment boundaries from any starting offset.
         for (i, &offset) in offsets.iter().enumerate() {
-            let (messages, _) = log.read(offset, usize::MAX).unwrap();
+            let (messages, _) = read_decoded(&log, offset, usize::MAX).unwrap();
             assert_eq!(messages.len(), 50 - i, "from offset {offset}");
         }
     }
@@ -733,11 +729,11 @@ mod tests {
     #[test]
     fn out_of_range_offsets_rejected() {
         let (log, _) = log_with(LogConfig::default());
-        log.append(&msg("x"));
-        let err = log.read(log.log_end() + 1, 100).unwrap_err();
+        append_one(&log, "x");
+        let err = read_decoded(&log, log.log_end() + 1, 100).unwrap_err();
         assert!(matches!(err, KafkaError::OffsetOutOfRange { .. }));
         // Mid-message offsets are detected as corrupt rather than served.
-        assert!(log.read(3, 100).is_err());
+        assert!(read_decoded(&log, 3, 100).is_err());
     }
 
     #[test]
@@ -746,10 +742,10 @@ mod tests {
         // re-consume data."
         let (log, _) = log_with(LogConfig::default());
         for i in 0..10 {
-            log.append(&msg(&format!("{i}")));
+            append_one(&log, &format!("{i}"));
         }
-        let (first, _) = log.read(0, usize::MAX).unwrap();
-        let (again, _) = log.read(0, usize::MAX).unwrap();
+        let (first, _) = read_decoded(&log, 0, usize::MAX).unwrap();
+        let (again, _) = read_decoded(&log, 0, usize::MAX).unwrap();
         assert_eq!(first, again);
     }
 
@@ -761,19 +757,19 @@ mod tests {
             ..LogConfig::default()
         });
         for i in 0..30 {
-            log.append(&msg(&format!("old-{i}")));
+            append_one(&log, &format!("old-{i}"));
         }
         let old_end = log.log_end();
         clock.advance(Duration::from_secs(200));
         for i in 0..5 {
-            log.append(&msg(&format!("new-{i}")));
+            append_one(&log, &format!("new-{i}"));
         }
         let deleted = log.enforce_retention();
         assert!(deleted > 0);
         assert!(log.log_start() > 0);
         // Old offsets now out of range; new data still readable.
-        assert!(log.read(0, 100).is_err());
-        let (messages, _) = log.read(old_end, usize::MAX).unwrap();
+        assert!(read_decoded(&log, 0, 100).is_err());
+        let (messages, _) = read_decoded(&log, old_end, usize::MAX).unwrap();
         assert_eq!(messages.len(), 5);
     }
 
@@ -783,44 +779,24 @@ mod tests {
             retention: Duration::from_secs(10),
             ..LogConfig::default()
         });
-        log.append(&msg("doomed"));
+        append_one(&log, "doomed");
         clock.advance(Duration::from_secs(60));
         assert_eq!(log.enforce_retention(), 1);
         assert_eq!(log.log_start(), log.log_end());
-        assert!(log.read(log.log_end(), 100).unwrap().0.is_empty());
-    }
-
-    #[test]
-    fn append_set_returns_base_offset_and_matches_singles() {
-        let (batched, _) = log_with(LogConfig::default());
-        let (single, _) = log_with(LogConfig::default());
-        let set = MessageSet {
-            messages: vec![msg("a"), msg("bb"), msg("ccc")],
-        };
-        let base = batched.append_set(&set);
-        assert_eq!(base, 0);
-        let base2 = batched.append_set(&set);
-        assert_eq!(base2, batched.log_end() / 2);
-        for m in set.messages.iter().chain(set.messages.iter()) {
-            single.append(m);
-        }
-        assert_eq!(batched.log_end(), single.log_end());
-        let a = batched.read(0, usize::MAX).unwrap();
-        let b = single.read(0, usize::MAX).unwrap();
-        assert_eq!(a, b);
+        assert!(read_decoded(&log, log.log_end(), 100).unwrap().0.is_empty());
     }
 
     #[test]
     fn append_frames_multi_matches_sequential_appends() {
-        for segment_bytes in [64usize, 1 << 20] {
-            let (grouped, _) = log_with(LogConfig {
+        let cases = [(64usize, 1u64), (1 << 20, 1), (1 << 20, 10)];
+        for (segment_bytes, flush_interval_messages) in cases {
+            let config = LogConfig {
                 segment_bytes,
+                flush_interval_messages,
                 ..LogConfig::default()
-            });
-            let (single, _) = log_with(LogConfig {
-                segment_bytes,
-                ..LogConfig::default()
-            });
+            };
+            let (grouped, _) = log_with(config.clone());
+            let (single, _) = log_with(config);
             let buffers: Vec<Vec<u8>> = (0..7)
                 .map(|i| {
                     MessageSet::from_payloads(
@@ -835,6 +811,16 @@ mod tests {
             for buffer in &buffers {
                 single.append_frames(buffer).unwrap();
             }
+            // One flush check over all 28 messages exposes the whole
+            // group. At interval 10 the sequential appends last flush
+            // after the sixth buffer (message counts 1+2+3+4, then 5+6),
+            // leaving the seventh buffer's 7 messages unflushed.
+            assert_eq!(grouped.visible_end(), grouped.log_end());
+            let sequential_visible = match flush_interval_messages {
+                1 => single.log_end(),
+                _ => single.log_end() - buffers[6].len() as u64,
+            };
+            assert_eq!(single.visible_end(), sequential_visible);
             grouped.flush();
             single.flush();
             assert_eq!(grouped.log_end(), single.log_end());
@@ -849,7 +835,7 @@ mod tests {
     #[test]
     fn append_frames_multi_empty_group_is_a_no_op() {
         let (log, _) = log_with(LogConfig::default());
-        log.append(&msg("x"));
+        append_one(&log, "x");
         let end = log.log_end();
         assert_eq!(log.append_frames_multi(&[]).unwrap(), end);
         assert_eq!(log.log_end(), end);
@@ -881,7 +867,7 @@ mod tests {
         // the same range — no copy was made for either.
         let (log, _) = log_with(LogConfig::default());
         for i in 0..8 {
-            log.append(&msg(&format!("payload-{i}")));
+            append_one(&log, &format!("payload-{i}"));
         }
         let (first, _) = log.read_chunks(0, usize::MAX).unwrap();
         let (again, _) = log.read_chunks(0, usize::MAX).unwrap();
@@ -903,10 +889,12 @@ mod tests {
         let (log, _) = log_with(LogConfig::default());
         let mut offsets = Vec::new();
         for i in 0..20 {
-            offsets.push(log.append(&msg(&format!("event-{i}"))));
+            offsets.push(append_one(&log, &format!("event-{i}")));
         }
-        // Resume from each message boundary; chunk path must agree with
-        // the eager decode at every budget.
+        let (all, _) = read_decoded(&log, 0, usize::MAX).unwrap();
+        // Resume from each message boundary; the chunk path must serve
+        // whole messages from `offset` while under budget (at least one)
+        // at every budget.
         for &offset in &offsets {
             for max_bytes in [1usize, 33, 100, usize::MAX] {
                 let (chunks, next) = log.read_chunks(offset, max_bytes).unwrap();
@@ -916,9 +904,20 @@ mod tests {
                         lazy.push(item.unwrap());
                     }
                 }
-                let (eager, eager_next) = log.read(offset, max_bytes).unwrap();
-                assert_eq!(lazy, eager);
-                assert_eq!(next, eager_next);
+                let mut expected = Vec::new();
+                let mut used = 0usize;
+                for (at, message) in all.iter().filter(|(at, _)| *at >= offset) {
+                    if used >= max_bytes {
+                        break;
+                    }
+                    used += message.framed_len();
+                    expected.push((*at, message.clone()));
+                }
+                let expected_next = expected
+                    .last()
+                    .map_or(offset, |(at, m)| at + m.framed_len() as u64);
+                assert_eq!(lazy, expected);
+                assert_eq!(next, expected_next);
             }
         }
     }
@@ -936,7 +935,7 @@ mod tests {
             std::thread::spawn(move || log.wait_for_data(0, Duration::from_secs(5)))
         };
         std::thread::sleep(Duration::from_millis(20));
-        log.append(&msg("wake up"));
+        append_one(&log, "wake up");
         assert!(waiter.join().unwrap());
     }
 }

@@ -21,6 +21,7 @@ use std::time::Duration;
 use li_commons::sim::Clock;
 
 use crate::cluster::KafkaCluster;
+use crate::ingest::AckMode;
 use crate::message::{KafkaError, MessageSet};
 
 /// The embedded consumer that replicates topics from a live cluster into
@@ -62,33 +63,40 @@ impl MirrorMaker {
     /// messages copied (compressed wrappers count as one — they are
     /// mirrored without being expanded).
     ///
-    /// Zero-decode: the source's [`crate::message::FetchChunk`]s are
-    /// appended to the target byte-verbatim — frames are never decoded,
-    /// decompressed, or re-encoded on the hop, so compression survives it
-    /// and the only per-message work is the target's structural frame walk.
+    /// Zero-decode: each source [`crate::message::FetchChunk`] goes into
+    /// the target partition's group-commit queue byte-verbatim, as the
+    /// same shared `Bytes` — frames are never decoded, decompressed,
+    /// re-encoded or copied on the hop, so compression survives it and the
+    /// only per-message work is the target's structural frame walk.
+    ///
+    /// Each chunk is appended with the [`AckMode::Leader`] contract, and
+    /// the partition's cursor moves past a chunk only once it is acked. A
+    /// failed target leader fails the pass with the cursor left at the
+    /// last acked chunk, so the next pass resumes there and copies no
+    /// chunk twice.
     pub fn pump(&self) -> Result<usize, KafkaError> {
         let mut copied = 0;
         for topic in &self.topics {
             for partition in 0..self.source.num_partitions(topic)? {
                 let key = (topic.clone(), partition);
                 let offset = *self.offsets.lock().get(&key).unwrap_or(&0);
-                let (chunks, next) =
-                    self.source.fetch_chunks(topic, partition, offset, usize::MAX)?;
-                if chunks.is_empty() {
-                    continue;
-                }
-                let target_broker = self.target.broker_for(topic, partition)?;
-                for chunk in &chunks {
-                    target_broker.produce_frames(
+                let (chunks, _) = self
+                    .source
+                    .fetch_chunks(topic, partition, offset, usize::MAX)?;
+                for chunk in chunks {
+                    let next = chunk.base_offset + chunk.len() as u64;
+                    let (messages, payload_bytes) = (chunk.messages, chunk.payload_bytes());
+                    self.target.produce_frames_grouped(
                         topic,
                         partition,
-                        &chunk.data,
-                        chunk.messages,
-                        chunk.payload_bytes(),
+                        chunk.data,
+                        messages,
+                        payload_bytes,
+                        AckMode::Leader,
                     )?;
-                    copied += chunk.messages as usize;
+                    copied += messages as usize;
+                    self.offsets.lock().insert(key.clone(), next);
                 }
-                self.offsets.lock().insert(key, next);
             }
         }
         Ok(copied)
@@ -191,6 +199,7 @@ impl WarehouseLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consumer::SimpleConsumer;
     use crate::log::LogConfig;
     use crate::producer::Producer;
     use li_commons::compress::Codec;
@@ -219,16 +228,16 @@ mod tests {
         let mirror = MirrorMaker::new(live, offline.clone(), ["events"]).unwrap();
         assert_eq!(mirror.pump().unwrap(), 50);
         assert_eq!(mirror.pump().unwrap(), 0, "idempotent when caught up");
-        let total: usize = (0..4)
-            .map(|p| {
+        let total: u64 = (0..4)
+            .flat_map(|p| {
                 offline
                     .broker_for("events", p)
                     .unwrap()
-                    .fetch("events", p, 0, usize::MAX)
+                    .fetch_chunks("events", p, 0, usize::MAX)
                     .unwrap()
                     .0
-                    .len()
             })
+            .map(|chunk| chunk.messages)
             .sum();
         assert_eq!(total, 50);
     }
@@ -274,6 +283,82 @@ mod tests {
         clock.advance(Duration::from_secs(7));
         assert_eq!(loader.tick().unwrap(), 1);
         assert_eq!(loader.rows().len(), 2);
+    }
+
+    fn payloads(cluster: &Arc<KafkaCluster>, partition: u32) -> Vec<String> {
+        let mut consumer = SimpleConsumer::new(cluster.clone(), "events", partition).unwrap();
+        consumer
+            .poll()
+            .unwrap()
+            .iter()
+            .map(|(_, m)| String::from_utf8_lossy(&m.payload).into_owned())
+            .collect()
+    }
+
+    #[test]
+    fn pump_into_a_failed_target_leader_fails_and_resumes_after_recovery() {
+        let clock = SimClock::new();
+        let live =
+            KafkaCluster::with_parts(1, LogConfig::default(), Arc::new(clock.clone())).unwrap();
+        let offline =
+            KafkaCluster::with_parts(1, LogConfig::default(), Arc::new(clock.clone())).unwrap();
+        for c in [&live, &offline] {
+            c.create_topic("events", 1).unwrap();
+        }
+        let producer = Producer::new(live.clone());
+        for i in 0..5 {
+            producer.send("events", format!("e{i}")).unwrap();
+        }
+        producer.flush().unwrap();
+        let mirror = MirrorMaker::new(live, offline.clone(), ["events"]).unwrap();
+
+        offline.fail_broker(0).unwrap();
+        assert!(mirror.pump().is_err(), "the only target replica is down");
+        let failed_log = offline.brokers()[0].log("events", 0).unwrap();
+        assert_eq!(
+            failed_log.log_end(),
+            0,
+            "nothing written into a failed broker"
+        );
+
+        offline.recover_broker(0);
+        assert_eq!(mirror.pump().unwrap(), 5);
+        assert_eq!(mirror.pump().unwrap(), 0);
+        assert_eq!(payloads(&offline, 0), ["e0", "e1", "e2", "e3", "e4"]);
+    }
+
+    #[test]
+    fn failure_partway_through_a_pass_copies_no_chunk_twice() {
+        // RF=1 on two target brokers: partition 0 lands on broker 0,
+        // partition 1 on broker 1. With broker 1 down the pass copies
+        // partition 0, then fails on partition 1.
+        let clock = SimClock::new();
+        let live =
+            KafkaCluster::with_parts(1, LogConfig::default(), Arc::new(clock.clone())).unwrap();
+        let offline =
+            KafkaCluster::with_parts(2, LogConfig::default(), Arc::new(clock.clone())).unwrap();
+        for c in [&live, &offline] {
+            c.create_topic("events", 2).unwrap();
+        }
+        let producer = Producer::new(live.clone());
+        for i in 0..6 {
+            producer.send("events", format!("e{i}")).unwrap();
+        }
+        producer.flush().unwrap();
+        let mirror = MirrorMaker::new(live.clone(), offline.clone(), ["events"]).unwrap();
+
+        offline.fail_broker(1).unwrap();
+        assert!(mirror.pump().is_err());
+        offline.recover_broker(1);
+        assert_eq!(
+            mirror.pump().unwrap(),
+            3,
+            "only partition 1 is left to copy"
+        );
+        for p in 0..2 {
+            assert_eq!(payloads(&offline, p), payloads(&live, p), "partition {p}");
+            assert_eq!(payloads(&offline, p).len(), 3);
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Producer {
     }
 
     /// Builder: durability level each flushed batch waits for (default
-    /// [`AckMode::Leader`], the legacy produce contract). With
+    /// [`AckMode::Leader`]: ack after the leader's local append). With
     /// [`AckMode::FullIsr`] a flushed batch returns only once every
     /// in-sync replica of its partition holds it (see
     /// [`KafkaCluster::produce_frames_grouped`]).
@@ -253,7 +253,7 @@ impl Producer {
                 self.cluster.produce_frames_grouped(
                     topic,
                     partition,
-                    frames,
+                    frames.into(),
                     set.messages.len() as u64,
                     set.payload_bytes(),
                     self.ack,
@@ -268,7 +268,7 @@ impl Producer {
                 self.cluster.produce_frames_grouped(
                     topic,
                     partition,
-                    frames,
+                    frames.into(),
                     1,
                     wrapper.payload.len(),
                     self.ack,

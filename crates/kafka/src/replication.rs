@@ -261,9 +261,10 @@ mod tests {
     }
 
     fn payloads(rc: &KafkaCluster, from: u64) -> Vec<String> {
-        let (messages, _) = rc.fetch_committed("t", 0, from, usize::MAX).unwrap();
-        messages
+        let (chunks, _) = rc.fetch_chunks("t", 0, from, usize::MAX).unwrap();
+        chunks
             .iter()
+            .flat_map(|chunk| chunk.decode().unwrap())
             .map(|(_, m)| String::from_utf8_lossy(&m.payload).into_owned())
             .collect()
     }
@@ -271,7 +272,13 @@ mod tests {
     #[test]
     fn uncommitted_messages_invisible_until_replicated() {
         let (_c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["a", "b"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["a", "b"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         assert_eq!(rc.high_watermark("t", 0).unwrap(), 0, "followers empty");
         assert!(payloads(&rc, 0).is_empty(), "nothing committed yet");
         rc.replicate().unwrap();
@@ -282,11 +289,23 @@ mod tests {
     #[test]
     fn leader_failover_keeps_all_committed_messages() {
         let (_c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["committed-1", "committed-2"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["committed-1", "committed-2"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.replicate().unwrap();
         let old_leader = rc.leader_of("t", 0).unwrap();
         // An uncommitted write sneaks in right before the crash.
-        rc.produce("t", 0, &MessageSet::from_payloads(["uncommitted"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["uncommitted"]),
+            AckMode::Leader,
+        )
+        .unwrap();
 
         let elections = rc.fail_broker(old_leader).unwrap();
         assert_eq!(elections.len(), 1);
@@ -296,7 +315,13 @@ mod tests {
         // visible to consumers in the first place).
         assert_eq!(payloads(&rc, 0), vec!["committed-1", "committed-2"]);
         // Writes continue on the new leader.
-        rc.produce("t", 0, &MessageSet::from_payloads(["after-failover"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["after-failover"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.replicate().unwrap();
         assert_eq!(
             payloads(&rc, 0),
@@ -310,26 +335,47 @@ mod tests {
         let leader = rc.leader_of("t", 0).unwrap();
         rc.fail_broker(leader).unwrap();
         // After metadata refresh (leader_of), produces go to the new leader.
-        rc.produce("t", 0, &MessageSet::from_payloads(["x"])).unwrap();
+        rc.produce_with_ack("t", 0, &MessageSet::from_payloads(["x"]), AckMode::Leader)
+            .unwrap();
         // But a client pinned to the old leader errors... we model that by
         // failing everyone: all down -> produce fails.
         let l2 = rc.leader_of("t", 0).unwrap();
         rc.fail_broker(l2).unwrap();
         let l3 = rc.leader_of("t", 0).unwrap();
         rc.fail_broker(l3).unwrap();
-        assert!(rc.produce("t", 0, &MessageSet::from_payloads(["y"])).is_err());
+        assert!(rc
+            .produce_with_ack("t", 0, &MessageSet::from_payloads(["y"]), AckMode::Leader)
+            .is_err());
     }
 
     #[test]
     fn divergent_recovered_broker_is_reset_and_caught_up() {
         let (c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["base"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["base"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.replicate().unwrap();
         let old_leader = rc.leader_of("t", 0).unwrap();
         // Uncommitted tail on the old leader, then crash.
-        rc.produce("t", 0, &MessageSet::from_payloads(["tail-1", "tail-2", "tail-3"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["tail-1", "tail-2", "tail-3"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.fail_broker(old_leader).unwrap();
-        rc.produce("t", 0, &MessageSet::from_payloads(["new-era"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["new-era"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.replicate().unwrap();
 
         // Old leader returns with a longer-but-divergent log.
@@ -351,13 +397,31 @@ mod tests {
         // replica rejoin, count toward the high watermark, and win a
         // later longest-log election with bytes no consumer ever saw.
         let (c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["base"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["base"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.replicate().unwrap();
         let old_leader = rc.leader_of("t", 0).unwrap();
-        rc.produce("t", 0, &MessageSet::from_payloads(["AAAA"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["AAAA"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.fail_broker(old_leader).unwrap();
         // Same framed length, different bytes.
-        rc.produce("t", 0, &MessageSet::from_payloads(["BBBB"])).unwrap();
+        rc.produce_with_ack(
+            "t",
+            0,
+            &MessageSet::from_payloads(["BBBB"]),
+            AckMode::Leader,
+        )
+        .unwrap();
         rc.replicate().unwrap();
         let new_leader = rc.leader_of("t", 0).unwrap();
         let leader_end = c.brokers()[new_leader as usize].log("t", 0).unwrap().log_end();
@@ -426,7 +490,13 @@ mod tests {
         let (_c, rc) = replicated();
         let mut last_hw = 0;
         for round in 0..10u32 {
-            rc.produce("t", 0, &MessageSet::from_payloads([format!("m{round}")])).unwrap();
+            rc.produce_with_ack(
+                "t",
+                0,
+                &MessageSet::from_payloads([format!("m{round}")]),
+                AckMode::Leader,
+            )
+            .unwrap();
             rc.replicate().unwrap();
             let hw = rc.high_watermark("t", 0).unwrap();
             assert!(hw >= last_hw, "hw went backwards at round {round}");

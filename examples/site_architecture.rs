@@ -106,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..100 {
         let views = platform
             .relay
-            .events_after_shared(0, usize::MAX, &ServerFilter::all())?;
+            .events_after(0, usize::MAX, &ServerFilter::all())?;
         shared_views += views.iter().filter(|v| v.is_shared()).count();
     }
     assert_eq!(platform.relay.windows_ingested(), ingested_before, "no source impact");

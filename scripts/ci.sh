@@ -26,10 +26,15 @@ SITE_GRAPH_PROPTEST_CASES=64 cargo test -q --test site_graph_props
 
 echo "== kafka ingest proptests: 64 cases (default is 24) =="
 # Group-commit equivalence: grouped produce must be byte-identical to
-# the legacy per-request path (same fingerprints, same offsets) in both
-# shard modes, and concurrent grouped producers must lose nothing and
-# keep per-thread FIFO order.
+# the oracle, one `PartitionLog::append_frames` per produce (same
+# fingerprints, same offsets), in both shard modes, and concurrent
+# grouped producers must lose nothing and keep per-thread FIFO order.
 KAFKA_INGEST_PROPTEST_CASES=64 cargo test -q --test kafka_ingest_props
+
+echo "== kafka log proptests: 96 cases (default is 48) =="
+# The offset-addressed log: reconstruction, rewind, lossless pagination,
+# chunk reads equal to an eager oracle, and no partial data past a flush.
+KAFKA_LOG_PROPTEST_CASES=96 cargo test -q --test kafka_log_props
 
 echo "== chaos sweep: 20 seeds x 10 scenarios (10 min budget) =="
 # Wider seed sweep than the per-test default of 5. Deterministic — only

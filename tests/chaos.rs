@@ -27,7 +27,7 @@ use li_commons::sim::SimClock;
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::MirrorMaker;
-use li_kafka::{AckMode, KafkaCluster, MessageSet};
+use li_kafka::{AckMode, KafkaCluster, KafkaError, Message, MessageSet};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use li_sqlstore::{Database, RowKey};
@@ -522,6 +522,22 @@ fn chaos_sweep_espresso_failover() {
 // Scenario 3: Kafka replication + mirroring byte-identity.
 // ---------------------------------------------------------------------
 
+/// Committed fetch of everything from `offset`, decoded into
+/// `(offset, message)` pairs, plus the next offset.
+fn fetch_decoded(
+    cluster: &KafkaCluster,
+    topic: &str,
+    partition: u32,
+    offset: u64,
+) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
+    let (chunks, next) = cluster.fetch_chunks(topic, partition, offset, usize::MAX)?;
+    let mut messages = Vec::new();
+    for chunk in &chunks {
+        messages.extend(chunk.decode()?);
+    }
+    Ok((messages, next))
+}
+
 /// Drives a 3-broker replicated Kafka cluster (3 partitions, RF=3)
 /// through broker fail/recover cycles while producing, replicating and
 /// consuming committed offsets — plus a live→offline MirrorMaker pair
@@ -552,13 +568,14 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
         sched.step(&*live);
         let partition = (i % 3) as u32;
         let set = MessageSet::from_payloads([format!("m{i}")]);
-        if live.produce("events", partition, &set).is_ok() {
+        if live
+            .produce_with_ack("events", partition, &set, AckMode::Leader)
+            .is_ok()
+        {
             produced_ok += 1;
         }
         source
-            .broker_for("tracking", (i % 2) as u32)
-            .unwrap()
-            .produce("tracking", (i % 2) as u32, &set)
+            .produce_with_ack("tracking", (i % 2) as u32, &set, AckMode::Leader)
             .unwrap();
         if i % 4 == 0 {
             let _ = live.replicate();
@@ -567,9 +584,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
             let _ = mirror.pump();
         }
         let p = partition as usize;
-        if let Ok((messages, next)) =
-            live.fetch_committed("events", partition, next_offset[p], usize::MAX)
-        {
+        if let Ok((messages, next)) = fetch_decoded(&live, "events", partition, next_offset[p]) {
             for (offset, message) in messages {
                 consumed[p].push((offset, message.payload.clone()));
             }
@@ -624,8 +639,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
         // rolled back: re-fetching from 0 must replay the same bytes at
         // the same offsets.
         for p in 0..3u32 {
-            let (all, _) = live
-                .fetch_committed("events", p, 0, usize::MAX)
+            let (all, _) = fetch_decoded(&live, "events", p, 0)
                 .map_err(|e| format!("refetch events/{p}: {e}"))?;
             for (offset, payload) in &consumed[p as usize] {
                 let found = all.iter().find(|(o, _)| o == offset);
@@ -811,7 +825,7 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
     // Committed state per partition after full recovery.
     let committed: Vec<Vec<(u64, Bytes)>> = (0..ACK_PARTITIONS)
         .map(|p| {
-            let (messages, _) = live.fetch_committed("events", p, 0, usize::MAX).unwrap();
+            let (messages, _) = fetch_decoded(&live, "events", p, 0).unwrap();
             messages.into_iter().map(|(o, m)| (o, m.payload)).collect()
         })
         .collect();
@@ -1222,7 +1236,8 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
                 let partition = (*member % ACTIVITY_PARTITIONS as u64) as u32;
                 let payload = Bytes::from(format!("{i}:{member}:{event}"));
                 let set = MessageSet::from_payloads([payload.clone()]);
-                match kafka.produce("activity", partition, &set) {
+                let ack = kafka.produce_with_ack("activity", partition, &set, AckMode::Leader);
+                match ack.map(|r| r.base_offset.expect("a Leader ack reports its offset")) {
                     Ok(offset) => {
                         produced_ok += 1;
                         acked_activity.push((partition, offset, payload));
@@ -1241,7 +1256,7 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
             let _ = kafka.replicate();
             for p in 0..ACTIVITY_PARTITIONS {
                 if let Ok((messages, next)) =
-                    kafka.fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
+                    fetch_decoded(&kafka, "activity", p, next_offset[p as usize])
                 {
                     for (offset, message) in messages {
                         consumed[p as usize].push((offset, message.payload.clone()));
@@ -1285,9 +1300,8 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
         }
     }
     for p in 0..ACTIVITY_PARTITIONS {
-        let (messages, next) = kafka
-            .fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
-            .unwrap();
+        let (messages, next) =
+            fetch_decoded(&kafka, "activity", p, next_offset[p as usize]).unwrap();
         for (offset, message) in messages {
             consumed[p as usize].push((offset, message.payload.clone()));
         }
@@ -1358,8 +1372,7 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
     let kafka_committed_exactly_once = || -> Result<(), String> {
         for p in 0..ACTIVITY_PARTITIONS {
             kafka.verify_replica_identity("activity", p)?;
-            let (all, end) = kafka
-                .fetch_committed("activity", p, 0, usize::MAX)
+            let (all, end) = fetch_decoded(&kafka, "activity", p, 0)
                 .map_err(|e| format!("refetch activity/{p}: {e}"))?;
             // Committed reads stable: nothing a consumer saw may change.
             for (offset, payload) in &consumed[p as usize] {

@@ -136,18 +136,13 @@ proptest! {
         let after_scn = positions[start.index(positions.len())];
 
         let got: Vec<Window> = relay
-            .events_after_shared(after_scn, max_windows, &filter)
+            .events_after(after_scn, max_windows, &filter)
             .unwrap()
             .into_iter()
             .map(WindowView::into_window)
             .collect();
         let want = legacy_serve(&windows, after_scn, max_windows, &filter);
         prop_assert_eq!(got, want);
-
-        // The legacy adapter agrees too (it routes through the same path).
-        let eager = relay.events_after(after_scn, max_windows, &filter).unwrap();
-        let want = legacy_serve(&windows, after_scn, max_windows, &filter);
-        prop_assert_eq!(eager, want);
     }
 
     /// Same equivalence under eviction pressure: a byte-constrained relay
@@ -170,7 +165,7 @@ proptest! {
         // Every valid position serves the legacy result over the suffix.
         for after_scn in oldest - 1..=newest {
             let got: Vec<Window> = relay
-                .events_after_shared(after_scn, usize::MAX, &filter)
+                .events_after(after_scn, usize::MAX, &filter)
                 .unwrap()
                 .into_iter()
                 .map(WindowView::into_window)
@@ -181,7 +176,7 @@ proptest! {
         // A position strictly before the retained tail must error.
         if oldest > windows[0].scn {
             prop_assert!(relay
-                .events_after_shared(oldest.saturating_sub(2), usize::MAX, &filter)
+                .events_after(oldest.saturating_sub(2), usize::MAX, &filter)
                 .is_err());
         }
     }
@@ -213,7 +208,7 @@ fn served_payloads_alias_relay_buffer_memory() {
     }
 
     let views = relay
-        .events_after_shared(0, usize::MAX, &ServerFilter::all())
+        .events_after(0, usize::MAX, &ServerFilter::all())
         .unwrap();
     assert_eq!(views.len(), 32);
     for (view, original) in views.iter().zip(&originals) {
@@ -236,7 +231,7 @@ fn served_payloads_alias_relay_buffer_memory() {
     // Even a *trimming* filter keeps surviving payloads aliased — only the
     // window scaffolding is rebuilt, never the bytes.
     let filtered = relay
-        .events_after_shared(0, usize::MAX, &ServerFilter::for_tables(["member"]))
+        .events_after(0, usize::MAX, &ServerFilter::for_tables(["member"]))
         .unwrap();
     let Op::Put(row) = &filtered[0].changes[0].op else {
         panic!("expected put");
@@ -299,7 +294,7 @@ fn concurrent_pollers_observe_dense_ordered_stream() {
                 let mut events = 0usize;
                 let mut spins = 0u64;
                 while checkpoint < WINDOWS {
-                    let views = relay.events_after_shared(checkpoint, 7, &filter).unwrap();
+                    let views = relay.events_after(checkpoint, 7, &filter).unwrap();
                     if views.is_empty() {
                         spins += 1;
                         assert!(spins < 50_000_000, "ingester stalled");

@@ -20,7 +20,8 @@ fn kafka_replication_under_rolling_broker_failures() {
     for round in 0..3u16 {
         for p in 0..2 {
             let payload = format!("round-{round}-p{p}");
-            rc.produce("events", p, &MessageSet::from_payloads([payload.clone()]))
+            let set = MessageSet::from_payloads([payload.clone()]);
+            rc.produce_with_ack("events", p, &set, AckMode::Leader)
                 .unwrap();
             committed.push(payload);
         }
@@ -30,7 +31,10 @@ fn kafka_replication_under_rolling_broker_failures() {
         // All committed messages still served (from new leaders).
         let mut seen = Vec::new();
         for p in 0..2 {
-            let (messages, _) = rc.fetch_committed("events", p, 0, usize::MAX).unwrap();
+            let messages = SimpleConsumer::new(rc.clone(), "events", p)
+                .unwrap()
+                .poll()
+                .unwrap();
             seen.extend(
                 messages
                     .iter()
@@ -81,7 +85,12 @@ fn kafka_full_isr_producer_and_consumer_ride_out_leader_failover() {
     // the consumer must not see it, and the failover discards it.
     let old_leader = cluster.leader_of("events", 0).unwrap();
     cluster
-        .produce("events", 0, &MessageSet::from_payloads(["uncommitted"]))
+        .produce_with_ack(
+            "events",
+            0,
+            &MessageSet::from_payloads(["uncommitted"]),
+            AckMode::Leader,
+        )
         .unwrap();
     poll(&mut consumer);
 

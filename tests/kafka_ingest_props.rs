@@ -3,9 +3,9 @@
 //! The tentpole claim: routing produce through the per-partition
 //! [`GroupQueue`] changes *how often* the partition lock is taken, never
 //! *what lands in the log*. Under random producer counts, batch splits,
-//! and key distributions, the grouped path must be byte-identical to the
-//! legacy one-append-per-produce path — same `content_fingerprint`, same
-//! offsets — in both `ShardMode::Deterministic` and
+//! and key distributions, the grouped path must be byte-identical to one
+//! `PartitionLog::append_frames` per produce — same `content_fingerprint`,
+//! same offsets — in both `ShardMode::Deterministic` and
 //! `ShardMode::Parallel`. A second property drives real concurrent
 //! producer threads and checks conservation, contiguity, and per-thread
 //! FIFO order.
@@ -14,6 +14,7 @@
 //! `KAFKA_INGEST_PROPTEST_CASES=64` (the vendored proptest has no env
 //! support compiled in, so the knob is read manually).
 
+use bytes::Bytes;
 use li_commons::metrics::MetricsRegistry;
 use li_commons::shard::ShardMode;
 use li_commons::sim::SimClock;
@@ -67,7 +68,8 @@ proptest! {
 
     /// Grouped produce ≡ legacy produce, byte for byte. The same random
     /// batch sequence is replayed against three single-broker clusters —
-    /// legacy `produce_frames`, grouped Deterministic, grouped Parallel —
+    /// legacy (one `PartitionLog::append_frames` per batch on the leader
+    /// log), grouped Deterministic, grouped Parallel —
     /// and every partition must end with identical `log_end`,
     /// `content_fingerprint`, and per-batch base offsets.
     #[test]
@@ -90,13 +92,14 @@ proptest! {
         for batch in &batches {
             let partition = batch.partition % partitions;
             let set = MessageSet::from_payloads(batch.payloads.clone());
-            let frames = set.encode();
+            let frames = Bytes::from(set.encode());
             let messages = set.messages.len() as u64;
             let payload_bytes = set.payload_bytes();
 
             let legacy_offset = legacy
                 .broker_for("ingest", partition).unwrap()
-                .produce_frames("ingest", partition, &frames, messages, payload_bytes)
+                .log("ingest", partition).unwrap()
+                .append_frames(&frames)
                 .unwrap();
             let det_receipt = det
                 .produce_frames_grouped(
@@ -168,7 +171,7 @@ proptest! {
                     for seq in 0..per_thread {
                         let partition = ((t + seq) as u32) % partitions;
                         let set = MessageSet::from_payloads([format!("t{t}-s{seq}")]);
-                        let frames = set.encode();
+                        let frames = Bytes::from(set.encode());
                         let payload_bytes = set.payload_bytes();
                         let ack = acks[(ack_seed as usize + t + seq) % acks.len()];
                         let receipt = cluster
@@ -197,7 +200,8 @@ proptest! {
         for p in 0..partitions {
             let log = cluster.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
             prop_assert!(log.verify_contiguity().is_ok());
-            let (messages, _) = log.read(0, usize::MAX).unwrap();
+            let (chunks, _) = log.read_chunks(0, usize::MAX).unwrap();
+            let messages: Vec<_> = chunks.iter().flat_map(|c| c.decode().unwrap()).collect();
             landed += messages.len();
             for (_, message) in &messages {
                 let text = String::from_utf8(message.payload.to_vec()).unwrap();

@@ -2,6 +2,10 @@
 //! consuming from 0 reconstructs exactly the produced sequence, any valid
 //! rewind point reconstructs the suffix, and pagination never loses or
 //! duplicates a message.
+//!
+//! The case count defaults to 48 and is overridable with
+//! `KAFKA_LOG_PROPTEST_CASES` (the vendored proptest has no env-var
+//! support compiled in, so the knob is read manually).
 
 use bytes::Bytes;
 use li_commons::sim::SimClock;
@@ -9,6 +13,27 @@ use li_kafka::log::{LogConfig, PartitionLog};
 use li_kafka::{KafkaCluster, Message, Producer, SimpleConsumer};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+fn cases(default: u32) -> u32 {
+    std::env::var("KAFKA_LOG_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Appends one message as its own frame buffer; returns its offset.
+fn append(log: &PartitionLog, payload: impl AsRef<[u8]>) -> u64 {
+    let mut frames = Vec::new();
+    Message::new(Bytes::copy_from_slice(payload.as_ref())).encode(&mut frames);
+    log.append_frames(&frames).unwrap()
+}
+
+/// `read_chunks`, decoded: `(messages_with_offsets, next_offset)`.
+fn read(log: &PartitionLog, offset: u64, max_bytes: usize) -> (Vec<(u64, Message)>, u64) {
+    let (chunks, next) = log.read_chunks(offset, max_bytes).unwrap();
+    let messages = chunks.iter().flat_map(|c| c.decode().unwrap()).collect();
+    (messages, next)
+}
 
 /// The zero-copy proof, end to end: payloads delivered by a
 /// `SimpleConsumer` poll must lie inside the address range of the broker's
@@ -57,7 +82,7 @@ fn log_with_all_visible() -> PartitionLog {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
     #[test]
     fn prop_log_reconstructs_produced_sequence(
@@ -67,7 +92,7 @@ proptest! {
         let log = log_with_all_visible();
         let mut offsets = Vec::new();
         for p in &payloads {
-            offsets.push(log.append(&Message::new(Bytes::from(p.clone()))));
+            offsets.push(append(&log, p));
         }
         // Offsets strictly increase and obey offset arithmetic.
         for (i, window) in offsets.windows(2).enumerate() {
@@ -75,7 +100,7 @@ proptest! {
             prop_assert_eq!(window[1], expected);
         }
         // Full scan reconstructs everything in order.
-        let (messages, next) = log.read(0, usize::MAX).unwrap();
+        let (messages, next) = read(&log, 0, usize::MAX);
         prop_assert_eq!(messages.len(), payloads.len());
         for ((offset, message), (expected_offset, payload)) in
             messages.iter().zip(offsets.iter().zip(payloads.iter()))
@@ -94,10 +119,10 @@ proptest! {
         let log = log_with_all_visible();
         let mut offsets = Vec::new();
         for p in &payloads {
-            offsets.push(log.append(&Message::new(Bytes::from(p.clone()))));
+            offsets.push(append(&log, p));
         }
         let idx = rewind_to.index(offsets.len());
-        let (messages, _) = log.read(offsets[idx], usize::MAX).unwrap();
+        let (messages, _) = read(&log, offsets[idx], usize::MAX);
         prop_assert_eq!(messages.len(), payloads.len() - idx);
         prop_assert_eq!(
             messages[0].1.payload.as_ref(),
@@ -112,12 +137,12 @@ proptest! {
     ) {
         let log = log_with_all_visible();
         for p in &payloads {
-            log.append(&Message::new(Bytes::from(p.clone())));
+            append(&log, p);
         }
         let mut collected = Vec::new();
         let mut cursor = 0u64;
         loop {
-            let (batch, next) = log.read(cursor, max_bytes).unwrap();
+            let (batch, next) = read(&log, cursor, max_bytes);
             if batch.is_empty() {
                 prop_assert_eq!(next, cursor, "no progress means caught up");
                 break;
@@ -151,7 +176,7 @@ proptest! {
         );
         let mut offsets = Vec::new();
         for p in &payloads {
-            offsets.push(log.append(&Message::new(Bytes::from(p.clone()))));
+            offsets.push(append(&log, p));
         }
         let offset = offsets[start.index(offsets.len())];
         if offset > log.visible_end() {
@@ -166,7 +191,19 @@ proptest! {
                 lazy.push(item.unwrap());
             }
         }
-        let (eager, eager_next) = log.read(offset, max_bytes).unwrap();
+        // Eager oracle from the produced sequence: whole messages from
+        // `offset` up to the flush horizon, taken while under budget.
+        let (mut eager, mut eager_next, mut used) = (Vec::new(), offset, 0usize);
+        for (&at, p) in offsets.iter().zip(&payloads).filter(|(&at, _)| at >= offset) {
+            let message = Message::new(Bytes::from(p.clone()));
+            let end = at + message.framed_len() as u64;
+            if used >= max_bytes || end > log.visible_end() {
+                break;
+            }
+            used += message.framed_len();
+            eager.push((at, message));
+            eager_next = end;
+        }
         prop_assert_eq!(&lazy, &eager);
         prop_assert_eq!(chunk_next, eager_next);
         // And every lazily-decoded payload aliases its chunk's storage.
@@ -193,10 +230,10 @@ proptest! {
             clock,
         );
         for (i, p) in payloads.iter().enumerate() {
-            log.append(&Message::new(Bytes::from(p.clone())));
+            append(&log, p);
             // Visible count is always a multiple of the flush interval
             // (until a final explicit flush).
-            let (visible, _) = log.read(0, usize::MAX).unwrap();
+            let (visible, _) = read(&log, 0, usize::MAX);
             let appended = i as u64 + 1;
             prop_assert_eq!(
                 visible.len() as u64,
@@ -204,6 +241,6 @@ proptest! {
             );
         }
         log.flush();
-        prop_assert_eq!(log.read(0, usize::MAX).unwrap().0.len(), payloads.len());
+        prop_assert_eq!(read(&log, 0, usize::MAX).0.len(), payloads.len());
     }
 }
